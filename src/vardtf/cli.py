@@ -18,9 +18,9 @@ single ``error[kind]: message`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +36,10 @@ from .exceptions import (
     SingularToeplitz,
     VardtfError,
 )
-from .jsonio import canonical_json
+from .jsonio import canonical_json, write_csv
 from .model import ChannelPair, VarModel, counterexample_model, read_model, write_model
 
 _NUMERICAL_ERRORS = (
-    NotConverged,
     NoConvergence,
     SingularAtFrequency,
     SingularToeplitz,
@@ -48,19 +47,6 @@ _NUMERICAL_ERRORS = (
     DegenerateRow,
     RankDeficientRegressors,
 )
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: model, grid, pair, output directory, tolerances."""
-
-    model: VarModel
-    grid: spectral.FrequencyGrid
-    pair: ChannelPair | None
-    outdir: Path | None
-    seed: int
-    q_max: int
-    tol: float
 
 
 def _parse_pair(text: str) -> ChannelPair:
@@ -74,11 +60,11 @@ def _parse_pair(text: str) -> ChannelPair:
 
 
 def _load_model(args) -> VarModel:
-    has_builtin = args.alpha is not None or args.beta is not None
-    if args.model is not None and has_builtin:
+    path = getattr(args, "model", None)
+    if path is not None and (args.alpha is not None or args.beta is not None):
         raise ValueError("give either --model or --alpha/--beta, not both")
-    if args.model is not None:
-        return read_model(args.model)
+    if path is not None:
+        return read_model(path)
     if args.alpha is None or args.beta is None:
         raise ValueError("need --model FILE, or both --alpha and --beta")
     if not (np.isfinite(args.alpha) and np.isfinite(args.beta)):
@@ -88,13 +74,13 @@ def _load_model(args) -> VarModel:
 
 def _make_grid(args) -> spectral.FrequencyGrid:
     count = args.grid
-    if getattr(args, "fs", None) is None:
+    if args.fs is None:
         return spectral.default_grid(count)
     fs = args.fs
     if fs <= 0:
         raise ValueError("--fs must be positive")
     lo, hi = 0.0, fs / 2.0
-    if getattr(args, "band", None):
+    if args.band:
         parts = args.band.split(",")
         if len(parts) != 2:
             raise ValueError(f"--band expects 'LO,HI' in Hz, got '{args.band}'")
@@ -105,25 +91,18 @@ def _make_grid(args) -> spectral.FrequencyGrid:
     return spectral.FrequencyGrid(points)
 
 
-def _resolve_config(args, need_pair: bool = False) -> RunConfig:
-    pair = None
-    if getattr(args, "pair", None) is not None:
-        pair = _parse_pair(args.pair)
-    elif need_pair:
-        raise ValueError("this command requires --pair A,B")
-    outdir = None
-    if getattr(args, "out", None) is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-    return RunConfig(
-        model=_load_model(args),
-        grid=_make_grid(args),
-        pair=pair,
-        outdir=outdir,
-        seed=getattr(args, "seed", 0),
-        q_max=args.qmax,
-        tol=args.tol,
-    )
+def _resolve(args) -> argparse.Namespace:
+    """Replace flag text with what it names: pair, output directory, model, grid."""
+    if "pair" in args:
+        args.pair = _parse_pair(args.pair)
+    if args.out is not None:
+        args.out = Path(args.out)
+        args.out.mkdir(parents=True, exist_ok=True)
+    if "alpha" in args:
+        args.model = _load_model(args)
+    if "grid" in args:
+        args.grid = _make_grid(args)
+    return args
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -134,6 +113,16 @@ def _write_text(path: Path, text: str) -> None:
 def _write_csv(path: Path, fm: spectral.FrequencyMatrix) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         spectral.frequency_matrix_to_csv(fm, fh)
+
+
+@contextlib.contextmanager
+def _output(outdir: Path | None, name: str):
+    """The file ``name`` in ``outdir``, or stdout when there is no directory."""
+    if outdir is None:
+        yield sys.stdout
+    else:
+        with open(outdir / name, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _pair_label(verdict) -> str:
@@ -177,7 +166,30 @@ def _report_table(report: causality.CausalityReport) -> str:
     return "\n".join(lines)
 
 
-def _marginal_dict(rep: marginal.MarginalAR, deficit: float) -> dict:
+def _write_report(report: causality.CausalityReport, outdir: Path) -> None:
+    _write_text(outdir / "report.json", canonical_json(_report_dict(report)))
+
+
+def _write_reduction(args, pair: ChannelPair) -> tuple:
+    """Reduce a pair, write its spectra and reduction.json; returns (deficit, is_white)."""
+    red = reduction.reduce_pair(args.model, pair, args.grid)
+    _write_csv(args.out / "reduced_polynomial.csv", red.reduced_poly)
+    _write_csv(args.out / "error_spectrum.csv", red.error_spectrum)
+    deficit = reduction.whiteness_deficit(red.error_spectrum)
+    white = reduction.is_white(red.error_spectrum)
+    doc = {
+        "pair": {"target": pair.target + 1, "source": pair.source + 1},
+        "whiteness_deficit": deficit,
+        "is_white": white,
+    }
+    _write_text(args.out / "reduction.json", canonical_json(doc))
+    return deficit, white
+
+
+def _marginal_doc(args, pair: ChannelPair) -> tuple:
+    """Marginalize a pair; returns (representation, residual deficit, JSON document)."""
+    rep = marginal.marginal_representation(args.model, pair, q_max=args.qmax, tol=args.tol)
+    deficit = marginal.innovation_whiteness_check(args.model, pair, rep, args.grid)
     doc = {
         "order_used": rep.order_used,
         "phis": rep.phis.tolist(),
@@ -189,127 +201,72 @@ def _marginal_dict(rep: marginal.MarginalAR, deficit: float) -> dict:
         },
         "toeplitz_cond": rep.toeplitz_cond,
         "whiteness_deficit": deficit,
+        "pair": {"target": pair.target + 1, "source": pair.source + 1},
     }
-    if rep.pair is not None:
-        doc["pair"] = {"target": rep.pair.target + 1, "source": rep.pair.source + 1}
-    return doc
+    return rep, deficit, doc
 
 
 def cmd_counterexample(args) -> int:
     """Full demonstration run on the built-in trivariate model."""
-    cfg = _resolve_config(args)
-    outdir = cfg.outdir
-    model, grid = cfg.model, cfg.grid
+    model, grid = args.model, args.grid
     pair = ChannelPair(target=0, source=1)
-
-    h = spectral.transfer_function(model, grid)
-    _write_csv(outdir / "transfer_function.csv", h)
-
-    red = reduction.reduce_pair(model, pair, grid)
-    _write_csv(outdir / "reduced_polynomial.csv", red.reduced_poly)
-    _write_csv(outdir / "error_spectrum.csv", red.error_spectrum)
-    deficit = reduction.whiteness_deficit(red.error_spectrum)
-    _write_text(
-        outdir / "reduction.json",
-        canonical_json(
-            {
-                "pair": {"target": 1, "source": 2},
-                "whiteness_deficit": deficit,
-                "is_white": reduction.is_white(red.error_spectrum),
-            }
-        ),
-    )
-
-    rep = marginal.marginal_representation(model, pair, q_max=cfg.q_max, tol=cfg.tol)
-    rep_deficit = marginal.innovation_whiteness_check(model, pair, rep, grid)
-    _write_text(outdir / "marginal.json", canonical_json(_marginal_dict(rep, rep_deficit)))
-
-    report = causality.full_report(model, grid, q_max=cfg.q_max, tol=cfg.tol)
-    _write_text(outdir / "report.json", canonical_json(_report_dict(report)))
+    _write_csv(args.out / "transfer_function.csv", spectral.transfer_function(model, grid))
+    deficit, _ = _write_reduction(args, pair)
+    _, rep_deficit, doc = _marginal_doc(args, pair)
+    _write_text(args.out / "marginal.json", canonical_json(doc))
+    report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
+    _write_report(report, args.out)
 
     print(f"alpha={args.alpha:g} beta={args.beta:g}")
     print(_report_table(report))
     print(f"reduction whiteness deficit: {deficit:.6g}")
     print(f"marginal residual whiteness deficit: {rep_deficit:.6g}")
-    n_contra = len(report.contradictions)
-    print(f"contradictions: {n_contra}")
+    print(f"contradictions: {len(report.contradictions)}")
     return 0
 
 
 def cmd_analyze(args) -> int:
     """Causality report plus per-pair marginalizations and spectra."""
-    cfg = _resolve_config(args)
-    model, grid = cfg.model, cfg.grid
-    report = causality.full_report(model, grid, q_max=cfg.q_max, tol=cfg.tol)
-    _write_text(cfg.outdir / "report.json", canonical_json(_report_dict(report)))
-    _write_csv(cfg.outdir / "spectral_density.csv", spectral.spectral_density(model, grid))
-
+    model, grid = args.model, args.grid
+    report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
+    _write_report(report, args.out)
+    _write_csv(args.out / "spectral_density.csv", spectral.spectral_density(model, grid))
     dtf_vals = spectral.dtf(model, grid, normalized=not args.raw)
-    _write_csv(
-        cfg.outdir / "dtf.csv",
-        spectral.FrequencyMatrix(grid, dtf_vals.astype(complex)),
-    )
+    _write_csv(args.out / "dtf.csv", spectral.FrequencyMatrix(grid, dtf_vals.astype(complex)))
 
     marginals: dict = {}
     for v in report.pairs:
         pair = ChannelPair(target=v.target, source=v.source)
-        label = _pair_label(v)
         try:
-            rep = marginal.marginal_representation(
-                model, pair, q_max=cfg.q_max, tol=cfg.tol
-            )
-            deficit = marginal.innovation_whiteness_check(model, pair, rep, grid)
-            marginals[label] = _marginal_dict(rep, deficit)
+            marginals[_pair_label(v)] = _marginal_doc(args, pair)[2]
         except VardtfError as exc:
-            marginals[label] = {"error": str(exc)}
-    _write_text(cfg.outdir / "marginals.json", canonical_json(marginals))
+            marginals[_pair_label(v)] = {"error": str(exc)}
+    _write_text(args.out / "marginals.json", canonical_json(marginals))
 
     print(_report_table(report))
     return 0
 
 
 def cmd_dtf(args) -> int:
-    cfg = _resolve_config(args)
-    values = spectral.dtf(cfg.model, cfg.grid, normalized=not args.raw)
-    fm = spectral.FrequencyMatrix(cfg.grid, values.astype(complex))
-    if cfg.outdir is not None:
-        _write_csv(cfg.outdir / "dtf.csv", fm)
-    else:
-        spectral.frequency_matrix_to_csv(fm, sys.stdout)
+    values = spectral.dtf(args.model, args.grid, normalized=not args.raw)
+    with _output(args.out, "dtf.csv") as fh:
+        spectral.frequency_matrix_to_csv(
+            spectral.FrequencyMatrix(args.grid, values.astype(complex)), fh
+        )
     return 0
 
 
 def cmd_reduce(args) -> int:
-    cfg = _resolve_config(args, need_pair=True)
-    red = reduction.reduce_pair(cfg.model, cfg.pair, cfg.grid)
-    _write_csv(cfg.outdir / "reduced_polynomial.csv", red.reduced_poly)
-    _write_csv(cfg.outdir / "error_spectrum.csv", red.error_spectrum)
-    deficit = reduction.whiteness_deficit(red.error_spectrum)
-    white = reduction.is_white(red.error_spectrum)
-    _write_text(
-        cfg.outdir / "reduction.json",
-        canonical_json(
-            {
-                "pair": {"target": cfg.pair.target + 1, "source": cfg.pair.source + 1},
-                "whiteness_deficit": deficit,
-                "is_white": white,
-            }
-        ),
-    )
+    deficit, white = _write_reduction(args, args.pair)
     print(f"whiteness_deficit={deficit:.6g} is_white={white}")
     return 0
 
 
 def cmd_marginalize(args) -> int:
-    cfg = _resolve_config(args, need_pair=True)
-    rep = marginal.marginal_representation(
-        cfg.model, cfg.pair, q_max=cfg.q_max, tol=cfg.tol
-    )
-    deficit = marginal.innovation_whiteness_check(cfg.model, cfg.pair, rep, cfg.grid)
-    doc = canonical_json(_marginal_dict(rep, deficit))
-    if cfg.outdir is not None:
-        _write_text(cfg.outdir / "marginal.json", doc)
-    print(f"pair {cfg.pair.target + 1}<-{cfg.pair.source + 1}")
+    rep, deficit, doc = _marginal_doc(args, args.pair)
+    if args.out is not None:
+        _write_text(args.out / "marginal.json", canonical_json(doc))
+    print(f"pair {args.pair.target + 1}<-{args.pair.source + 1}")
     print(f"order_used: {rep.order_used}  converged: {rep.convergence.converged}")
     print(f"innov_cov:\n{rep.innov_cov}")
     if rep.order_used > 0:
@@ -319,10 +276,9 @@ def cmd_marginalize(args) -> int:
 
 
 def cmd_granger(args) -> int:
-    cfg = _resolve_config(args)
-    report = causality.full_report(cfg.model, cfg.grid, q_max=cfg.q_max, tol=cfg.tol)
-    if cfg.outdir is not None:
-        _write_text(cfg.outdir / "report.json", canonical_json(_report_dict(report)))
+    report = causality.full_report(args.model, args.grid, q_max=args.qmax, tol=args.tol)
+    if args.out is not None:
+        _write_report(report, args.out)
     if args.json:
         sys.stdout.write(canonical_json(_report_dict(report)))
     else:
@@ -331,34 +287,17 @@ def cmd_granger(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    cfg = _resolve_config(args)
-    seq = moments.autocov(cfg.model, maxlag=args.maxlag)
-    out = sys.stdout
-    close = False
-    if cfg.outdir is not None:
-        out = open(cfg.outdir / "moments.csv", "w", encoding="utf-8")
-        close = True
-    try:
-        d = seq.dim
-        header = ["lag"] + [
-            f"g_{j}_{k}" for j in range(1, d + 1) for k in range(1, d + 1)
-        ]
-        out.write(",".join(header) + "\n")
-        for h in range(seq.maxlag + 1):
-            cells = [str(h)] + [
-                format(x, ".17g") for x in seq.gammas[h].reshape(-1)
-            ]
-            out.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            out.close()
+    seq = moments.autocov(args.model, maxlag=args.maxlag)
+    d = seq.dim
+    header = ["lag"] + [f"g_{j}_{k}" for j in range(1, d + 1) for k in range(1, d + 1)]
+    with _output(args.out, "moments.csv") as fh:
+        write_csv(fh, header, np.arange(seq.maxlag + 1), seq.gammas.reshape(-1, d * d))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    traj = estimate.simulate(cfg.model, args.length, cfg.seed, burn_in=args.burn_in)
-    with open(cfg.outdir / "trajectory.csv", "w", encoding="utf-8") as fh:
+    traj = estimate.simulate(args.model, args.length, args.seed, burn_in=args.burn_in)
+    with open(args.out / "trajectory.csv", "w", encoding="utf-8") as fh:
         estimate.write_trajectory(traj, fh)
     print(f"wrote {traj.length} samples of {traj.dim} channels (seed {traj.seed})")
     return 0
@@ -370,62 +309,79 @@ def cmd_fit(args) -> int:
     fit = estimate.fit_var(traj, args.order)
     white = estimate.residual_whiteness(fit, maxlag=args.maxlag)
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_model(fit.model, outdir / "fitted_model.json")
-        _write_text(
-            outdir / "fit_diagnostics.json",
-            canonical_json(
-                {
-                    "stderr": fit.stderr.tolist(),
-                    "nobs": fit.nobs,
-                    "portmanteau": {
-                        "statistic": white.statistic,
-                        "df": white.df,
-                        "p_value": white.p_value,
-                    },
-                    "lag_norms": white.lag_norms.tolist(),
-                }
-            ),
-        )
+        write_model(fit.model, args.out / "fitted_model.json")
+        doc = {
+            "stderr": fit.stderr.tolist(),
+            "nobs": fit.nobs,
+            "portmanteau": {
+                "statistic": white.statistic,
+                "df": white.df,
+                "p_value": white.p_value,
+            },
+            "lag_norms": white.lag_norms.tolist(),
+        }
+        _write_text(args.out / "fit_diagnostics.json", canonical_json(doc))
     print(f"fitted VAR({args.order}) on {fit.nobs} observations")
     print(f"portmanteau p-value (L={args.maxlag}): {white.p_value:.4g}")
     return 0
 
 
-def _add_model_args(sub) -> None:
-    sub.add_argument("--model", default=None, help="model JSON file")
-    sub.add_argument(
-        "--alpha", type=float, default=None, help="builtin counterexample alpha"
-    )
-    sub.add_argument(
-        "--beta", type=float, default=None, help="builtin counterexample beta"
-    )
+# Argument groups, as (flag, add_argument keywords) pairs.
+_MODEL = (
+    ("--model", {"default": None, "help": "model JSON file"}),
+    ("--alpha", {"type": float, "default": None, "help": "builtin counterexample alpha"}),
+    ("--beta", {"type": float, "default": None, "help": "builtin counterexample beta"}),
+)
+_BUILTIN = (
+    ("--alpha", {"type": float, "required": True, "help": "counterexample alpha"}),
+    ("--beta", {"type": float, "required": True, "help": "counterexample beta"}),
+)
+_GRID = (
+    ("--grid", {"type": int, "default": spectral.DEFAULT_GRID_COUNT,
+                "help": "number of frequency points (default 257)"}),
+    ("--fs", {"type": float, "default": None,
+              "help": "sampling rate in Hz; switches --band to Hz input"}),
+    ("--band", {"default": None, "help": "frequency band 'LO,HI' in Hz (needs --fs)"}),
+)
+_MARGINAL = (
+    ("--qmax", {"type": int, "default": marginal.DEFAULT_Q_MAX,
+                "help": "marginalization order cap (default 128)"}),
+    ("--tol", {"type": float, "default": marginal.DEFAULT_TOL,
+               "help": "marginalization tail tolerance (default 1e-8)"}),
+)
+_PAIR = ("--pair", {"required": True, "help": "channel pair 'A,B', 1-based"})
+_RAW = ("--raw", {"action": "store_true", "help": "non-normalized DTF"})
+_OUT = ("--out", {"required": True, "help": "output directory"})
+_OUT_OPTIONAL = ("--out", {"default": None, "help": "output directory"})
 
-
-def _add_grid_args(sub) -> None:
-    sub.add_argument(
-        "--grid", type=int, default=spectral.DEFAULT_GRID_COUNT,
-        help="number of frequency points (default 257)",
-    )
-    sub.add_argument(
-        "--fs", type=float, default=None,
-        help="sampling rate in Hz; switches --band to Hz input",
-    )
-    sub.add_argument(
-        "--band", default=None, help="frequency band 'LO,HI' in Hz (needs --fs)"
-    )
-
-
-def _add_tol_args(sub) -> None:
-    sub.add_argument(
-        "--qmax", type=int, default=marginal.DEFAULT_Q_MAX,
-        help="marginalization order cap (default 128)",
-    )
-    sub.add_argument(
-        "--tol", type=float, default=marginal.DEFAULT_TOL,
-        help="marginalization tail tolerance (default 1e-8)",
-    )
+#: Every subcommand: name, handler, help line and the arguments it takes.
+COMMANDS = (
+    ("counterexample", cmd_counterexample,
+     "demonstrate the DTF/causality disagreement on the builtin model",
+     (*_BUILTIN, *_GRID, *_MARGINAL, _OUT)),
+    ("analyze", cmd_analyze, "full report, spectra and marginalizations",
+     (*_MODEL, *_GRID, *_MARGINAL, _OUT, _RAW)),
+    ("dtf", cmd_dtf, "directed transfer function on the grid",
+     (*_MODEL, *_GRID, _OUT_OPTIONAL, _RAW)),
+    ("reduce", cmd_reduce, "partitioned reduction of a channel pair",
+     (*_MODEL, *_GRID, _PAIR, _OUT)),
+    ("marginalize", cmd_marginalize, "exact AR representation of a pair",
+     (*_MODEL, *_GRID, *_MARGINAL, _PAIR, _OUT_OPTIONAL)),
+    ("granger", cmd_granger, "three-way causality verdicts per pair",
+     (*_MODEL, *_GRID, *_MARGINAL, _OUT_OPTIONAL,
+      ("--json", {"action": "store_true", "help": "print JSON instead of table"}))),
+    ("moments", cmd_moments, "autocovariance sequence as CSV",
+     (*_MODEL, ("--maxlag", {"type": int, "default": None}), _OUT_OPTIONAL)),
+    ("simulate", cmd_simulate, "simulate a trajectory to CSV",
+     (*_MODEL, ("--length", {"type": int, "required": True}),
+      ("--seed", {"type": int, "default": 0}),
+      ("--burn-in", {"type": int, "default": 1000}), _OUT)),
+    ("fit", cmd_fit, "least-squares VAR fit of a trajectory CSV",
+     (("--data", {"required": True, "help": "trajectory CSV file"}),
+      ("--order", {"type": int, "required": True}),
+      ("--maxlag", {"type": int, "default": 12, "help": "whiteness lags"}),
+      _OUT_OPTIONAL)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,83 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Directed transfer function vs Granger causality for VAR models",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser(
-        "counterexample",
-        help="demonstrate the DTF/causality disagreement on the builtin model",
-    )
-    sub.add_argument("--alpha", type=float, default=None, required=True)
-    sub.add_argument("--beta", type=float, default=None, required=True)
-    sub.add_argument("--out", required=True, help="output directory")
-    _add_grid_args(sub)
-    _add_tol_args(sub)
-    sub.set_defaults(func=cmd_counterexample, model=None)
-
-    sub = subs.add_parser("analyze", help="full report, spectra and marginalizations")
-    _add_model_args(sub)
-    _add_grid_args(sub)
-    _add_tol_args(sub)
-    sub.add_argument("--out", required=True)
-    sub.add_argument("--raw", action="store_true", help="non-normalized DTF")
-    sub.set_defaults(func=cmd_analyze)
-
-    sub = subs.add_parser("dtf", help="directed transfer function on the grid")
-    _add_model_args(sub)
-    _add_grid_args(sub)
-    _add_tol_args(sub)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--raw", action="store_true", help="non-normalized DTF")
-    sub.set_defaults(func=cmd_dtf)
-
-    sub = subs.add_parser("reduce", help="partitioned reduction of a channel pair")
-    _add_model_args(sub)
-    _add_grid_args(sub)
-    _add_tol_args(sub)
-    sub.add_argument("--pair", required=True, help="channel pair 'A,B', 1-based")
-    sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_reduce)
-
-    sub = subs.add_parser("marginalize", help="exact AR representation of a pair")
-    _add_model_args(sub)
-    _add_grid_args(sub)
-    _add_tol_args(sub)
-    sub.add_argument("--pair", required=True, help="channel pair 'A,B', 1-based")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_marginalize)
-
-    sub = subs.add_parser("granger", help="three-way causality verdicts per pair")
-    _add_model_args(sub)
-    _add_grid_args(sub)
-    _add_tol_args(sub)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--json", action="store_true", help="print JSON instead of table")
-    sub.set_defaults(func=cmd_granger)
-
-    sub = subs.add_parser("moments", help="autocovariance sequence as CSV")
-    _add_model_args(sub)
-    _add_grid_args(sub)
-    _add_tol_args(sub)
-    sub.add_argument("--maxlag", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_moments)
-
-    sub = subs.add_parser("simulate", help="simulate a trajectory to CSV")
-    _add_model_args(sub)
-    _add_grid_args(sub)
-    _add_tol_args(sub)
-    sub.add_argument("--length", type=int, required=True)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--burn-in", dest="burn_in", type=int, default=1000)
-    sub.add_argument("--out", required=True)
-    sub.set_defaults(func=cmd_simulate)
-
-    sub = subs.add_parser("fit", help="least-squares VAR fit of a trajectory CSV")
-    sub.add_argument("--data", required=True, help="trajectory CSV file")
-    sub.add_argument("--order", type=int, required=True)
-    sub.add_argument("--maxlag", type=int, default=12, help="whiteness lags")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_fit)
-
+    for name, func, help_text, arguments in COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, spec in arguments:
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -518,7 +402,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
+    except NotConverged as exc:
+        # One line: the message, then the tail diagnostics of every order tried.
+        history = [
+            f"order {q}: tail_norm {d['tail_norm']:.3g}, v_delta {d['v_delta']:.3g}"
+            for q, d in exc.diagnostics.items()
+        ]
+        print(f"error[numerical]: {'; '.join([str(exc), *history])}", file=sys.stderr)
+        return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"error[numerical]: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import linalg, stats
 
 from .exceptions import RankDeficientRegressors, ShapeMismatch
+from .jsonio import write_csv
 from .model import VarModel, make_var
 from .moments import AutocovSequence
 
@@ -220,7 +221,7 @@ def fit_var(traj: Trajectory, order: int, diag_lags: int = 12) -> FitResult:
             stderr[u, :, k] = np.sqrt(sigma.diagonal() * diag_gram[u * d + k])
 
     fitted = make_var(coeffs, sigma)
-    acorr = _lag_correlations(residuals, min(diag_lags, nobs - 1))
+    acorr = _lag_correlations(sample_autocov(residuals, min(diag_lags, nobs - 1)))
     return FitResult(
         model=fitted,
         stderr=stderr,
@@ -230,16 +231,10 @@ def fit_var(traj: Trajectory, order: int, diag_lags: int = 12) -> FitResult:
     )
 
 
-def _lag_correlations(residuals: np.ndarray, maxlag: int) -> np.ndarray:
-    t_len, d = residuals.shape
-    centered = residuals - residuals.mean(axis=0)
-    c0 = centered.T @ centered / t_len
-    scale = np.sqrt(np.outer(np.diag(c0), np.diag(c0)))
-    corr = np.empty((maxlag, d, d))
-    for lag in range(1, maxlag + 1):
-        c = centered[lag:].T @ centered[: t_len - lag] / t_len
-        corr[lag - 1] = c / scale
-    return corr
+def _lag_correlations(acov: AutocovSequence) -> np.ndarray:
+    """Correlation matrices at lags 1..maxlag of a sample autocovariance sequence."""
+    c0 = acov.gammas[0]
+    return acov.gammas[1:] / np.sqrt(np.outer(np.diag(c0), np.diag(c0)))
 
 
 def whiteness_stats(
@@ -251,17 +246,13 @@ def whiteness_stats(
     of freedom to d^2 (maxlag - df_model). Correct white residuals give each
     lag correlation entries of size O(1/sqrt(T)).
     """
-    residuals = np.asarray(residuals, dtype=float)
-    t_len, d = residuals.shape
-    if maxlag >= t_len:
-        raise ShapeMismatch("maxlag must be below the residual length")
-    centered = residuals - residuals.mean(axis=0)
-    c0 = centered.T @ centered / t_len
-    c0_inv = np.linalg.inv(c0)
-    corr = _lag_correlations(residuals, maxlag)
+    acov = sample_autocov(residuals, maxlag)
+    t_len, d = np.shape(residuals)
+    c0_inv = np.linalg.solve(acov.gammas[0], np.eye(d))
+    corr = _lag_correlations(acov)
     statistic = 0.0
     for lag in range(1, maxlag + 1):
-        c = centered[lag:].T @ centered[: t_len - lag] / t_len
+        c = acov.gammas[lag]
         term = c.T @ c0_inv @ c @ c0_inv
         statistic += float(np.trace(term)) / (t_len - lag)
     statistic *= t_len * t_len
@@ -284,10 +275,7 @@ def residual_whiteness(fit: FitResult, maxlag: int) -> WhitenessReport:
 def write_trajectory(traj: Trajectory, fh) -> None:
     """Write a trajectory as CSV with header ``t,ch1..chd``."""
     header = ["t"] + [f"ch{j}" for j in range(1, traj.dim + 1)]
-    fh.write(",".join(header) + "\n")
-    for t in range(traj.length):
-        cells = [str(t)] + [format(x, ".17g") for x in traj.samples[t]]
-        fh.write(",".join(cells) + "\n")
+    write_csv(fh, header, np.arange(traj.length), traj.samples)
 
 
 def read_trajectory(fh, seed: int = 0) -> Trajectory:

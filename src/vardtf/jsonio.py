@@ -1,15 +1,21 @@
-"""Deterministic JSON emission for reports and model files.
+"""Deterministic JSON and CSV emission for reports, tables and model files.
 
 The stdlib encoder prints floats with ``repr``, whose output is the shortest
-round-tripping string and therefore varies in digit count. Reports here must
-be byte-identical across runs, so every float is printed with 17 significant
-digits (enough to round-trip any IEEE double) and object keys are emitted in
-sorted order.
+round-tripping string and therefore varies in digit count. Outputs here must
+be byte-identical across runs, so every float, in JSON and CSV alike, is
+printed with 17 significant digits (enough to round-trip any IEEE double)
+and JSON object keys are emitted in sorted order.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: printf-style format of one float: 17 significant digits.
+FLOAT_FORMAT = "%.17g"
+
+#: Rows formatted per write, so a large table is never held as one string.
+CSV_CHUNK_ROWS = 1024
 
 
 def _format_float(x: float) -> str:
@@ -17,7 +23,7 @@ def _format_float(x: float) -> str:
         return '"nan"'
     if np.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def _escape(s: str) -> str:
@@ -85,3 +91,18 @@ def canonical_json(obj) -> str:
     _emit(obj, 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
+
+
+def write_csv(fh, header: list, first: np.ndarray, rest: np.ndarray) -> None:
+    """Write a CSV table: the header line, then ``first[i], *rest[i]`` per row.
+
+    ``first`` is a column of length n and ``rest`` an (n, k) real array.
+    Every cell is a float printed with 17 significant digits, so integral
+    values such as row indices print without a decimal point.
+    """
+    fh.write(",".join(header) + "\n")
+    fmt = ",".join([FLOAT_FORMAT] * (1 + rest.shape[1])) + "\n"
+    for start in range(0, len(first), CSV_CHUNK_ROWS):
+        stop = start + CSV_CHUNK_ROWS
+        block = np.column_stack((first[start:stop], rest[start:stop])).tolist()
+        fh.write("".join([fmt % tuple(row) for row in block]))

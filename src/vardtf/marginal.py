@@ -28,7 +28,7 @@ from .exceptions import (
 from .model import ChannelPair, VarModel
 from .moments import AutocovSequence, autocov, block_toeplitz, subprocess_autocov
 from .reduction import whiteness_deficit
-from .spectral import FrequencyGrid, FrequencyMatrix, spectral_density
+from .spectral import FrequencyGrid, FrequencyMatrix, lag_polynomial, spectral_density
 
 #: Eigenvalue floor below which an innovation covariance is declared broken.
 INNOV_PSD_FLOOR = -1e-8
@@ -229,18 +229,6 @@ def marginal_representation(
     )
 
 
-def coefficient_polynomial(rep: MarginalAR, grid: FrequencyGrid) -> FrequencyMatrix:
-    """Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda) for a representation."""
-    d = rep.innov_cov.shape[0]
-    lams = grid.points
-    values = np.broadcast_to(np.eye(d, dtype=complex), (lams.size, d, d)).copy()
-    if rep.order_used > 0:
-        lags = np.arange(1, rep.order_used + 1)
-        phases = np.exp(-1j * np.outer(lams, lags))
-        values -= np.einsum("np,pjk->njk", phases, rep.phis)
-    return FrequencyMatrix(grid=grid, values=values)
-
-
 def innovation_whiteness_check(
     model: VarModel,
     pair: ChannelPair,
@@ -250,7 +238,8 @@ def innovation_whiteness_check(
     """Whiteness deficit of the residual spectrum implied by a representation.
 
     Filters the pair's exact spectral density by the representation's
-    coefficient polynomial, Phi(lambda) f_S(lambda) Phi(lambda)*. If the
+    coefficient polynomial Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda),
+    giving Phi(lambda) f_S(lambda) Phi(lambda)*. If the
     representation is the true projection, the result is the constant
     V / 2 pi and the deficit is numerically zero; a truncated or otherwise
     invalid representation leaves frequency structure behind and scores a
@@ -262,7 +251,7 @@ def innovation_whiteness_check(
     channels = pair.channels
     full = spectral_density(model, grid)
     f_s = full.values[np.ix_(range(len(grid)), channels, channels)]
-    phi = coefficient_polynomial(rep, grid).values
+    phi = lag_polynomial(rep.phis, grid).values
     resid = phi @ f_s @ phi.conj().transpose(0, 2, 1)
     resid = 0.5 * (resid + resid.conj().transpose(0, 2, 1))
     return whiteness_deficit(FrequencyMatrix(grid=grid, values=resid))

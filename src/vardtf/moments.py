@@ -4,6 +4,11 @@ The autocovariance sequence Gamma(h) = E[X(t) X(t-h)'] is obtained from the
 companion-form state covariance, which solves the discrete Lyapunov equation
 P = C P C' + S, and is then extended to higher lags with the Yule-Walker
 recursion Gamma(h) = sum_u A(u) Gamma(h-u).
+
+The Lyapunov equation is solved by doubling, P = sum_k C^k S C'^k summed in
+squared blocks: O(n^3) per step for a companion dimension n, with quadratic
+convergence, and residuals at rounding level even for roots near the unit
+circle. Every solve is checked against the equation it solves.
 """
 
 from __future__ import annotations
@@ -14,10 +19,6 @@ import numpy as np
 
 from .exceptions import NoConvergence, ShapeMismatch
 from .model import ChannelPair, VarModel, companion_matrix
-
-#: Above this companion dimension the Lyapunov equation is solved by squaring
-#: (doubling) instead of the vectorized dense linear system.
-DIRECT_SOLVE_LIMIT = 64
 
 #: Acceptable relative residual of the Lyapunov solve.
 LYAPUNOV_RESIDUAL_TOL = 1e-10
@@ -51,15 +52,10 @@ class AutocovSequence:
         return self.gammas[h] if h >= 0 else self.gammas[-h].T
 
 
-def _solve_lyapunov_direct(comp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = comp.shape[0]
-    lhs = np.eye(n * n) - np.kron(comp, comp)
-    return np.linalg.solve(lhs, rhs.reshape(-1)).reshape(n, n)
-
-
 def _solve_lyapunov_doubling(comp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # P = sum_k C^k S C'^k, accumulated with squaring: quadratic convergence
-    # for strictly stable C.
+    # After k steps p = sum_{j < 2^k} C^j S C'^j and m = C^(2^k), so the
+    # omitted tail is m p m' and the loop stops once that is below rounding.
+    # A root at 1 - 1e-7 needs about 30 steps.
     p = rhs.copy()
     m = comp.copy()
     for _ in range(200):
@@ -98,10 +94,7 @@ def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:
     comp = companion_matrix(model)
     rhs = np.zeros_like(comp)
     rhs[:d, :d] = model.sigma
-    if comp.shape[0] <= DIRECT_SOLVE_LIMIT:
-        state_cov = _solve_lyapunov_direct(comp, rhs)
-    else:
-        state_cov = _solve_lyapunov_doubling(comp, rhs)
+    state_cov = _solve_lyapunov_doubling(comp, rhs)
     state_cov = 0.5 * (state_cov + state_cov.T)
 
     residual = np.linalg.norm(comp @ state_cov @ comp.T + rhs - state_cov, "fro")

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionTooSmall, ShapeMismatch, SingularAtFrequency
+from .exceptions import DimensionTooSmall, ShapeMismatch
 from .model import ChannelPair, VarModel
-from .spectral import FrequencyGrid, FrequencyMatrix, char_polynomial
+from .spectral import FrequencyGrid, FrequencyMatrix, char_polynomial, invert_pointwise
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
 WHITE_REL_TOL = 0.01
@@ -85,31 +85,6 @@ def partition_blocks(charpoly: FrequencyMatrix, pair: ChannelPair) -> tuple:
     return a_ss, a_sr, a_rs, a_rr
 
 
-def _coupling(model: VarModel, pair: ChannelPair, grid: FrequencyGrid) -> tuple:
-    """Blocks plus M(lambda) = A_SR A_RR^-1, solved per grid point."""
-    a_ss, a_sr, a_rs, a_rr = partition_blocks(char_polynomial(model, grid), pair)
-    rr = a_rr.values
-    try:
-        rr_inv = np.linalg.inv(rr)
-    except np.linalg.LinAlgError:
-        rr_inv = np.empty_like(rr)
-        for m in range(rr.shape[0]):
-            try:
-                rr_inv[m] = np.linalg.inv(rr[m])
-            except np.linalg.LinAlgError:
-                raise SingularAtFrequency(
-                    grid.points[m], "marginalized block A_RR"
-                ) from None
-    resid = np.linalg.norm(
-        rr_inv @ rr - np.eye(rr.shape[1]), axis=(1, 2)
-    )
-    bad = np.nonzero(resid >= 1e-10)[0]
-    if bad.size:
-        raise SingularAtFrequency(grid.points[bad[0]], "marginalized block A_RR")
-    coupling = a_sr.values @ rr_inv
-    return a_ss, a_sr, a_rs, a_rr, coupling
-
-
 def reduced_polynomial(
     model: VarModel, pair: ChannelPair, grid: FrequencyGrid
 ) -> FrequencyMatrix:
@@ -122,8 +97,7 @@ def reduced_polynomial(
     DimensionTooSmall
         If the model has no channels beyond the pair.
     """
-    a_ss, _, a_rs, _, coupling = _coupling(model, pair, grid)
-    return FrequencyMatrix(grid, a_ss.values - coupling @ a_rs.values)
+    return reduce_pair(model, pair, grid).reduced_poly
 
 
 def error_spectral_matrix(
@@ -140,8 +114,17 @@ def error_spectral_matrix(
     this is the constant Sigma_SS / 2 pi, i.e. e' is white; otherwise it
     generally varies with frequency.
     """
+    return reduce_pair(model, pair, grid).error_spectrum
+
+
+def reduce_pair(
+    model: VarModel, pair: ChannelPair, grid: FrequencyGrid
+) -> ReducedRepresentation:
+    """Reduced polynomial and error spectrum for a pair, from one A_RR inversion."""
     retained, removed = _split_indices(model.dim, pair)
-    _, _, _, _, coupling = _coupling(model, pair, grid)
+    a_ss, a_sr, a_rs, a_rr = partition_blocks(char_polynomial(model, grid), pair)
+    rr_inv = invert_pointwise(a_rr, "marginalized block A_RR").values
+    coupling = a_sr.values @ rr_inv
     sigma = model.sigma
     sig_ss = sigma[np.ix_(retained, retained)]
     sig_rs = sigma[np.ix_(removed, retained)]
@@ -154,17 +137,10 @@ def error_spectral_matrix(
         + coupling @ sig_rr @ coupling.conj().transpose(0, 2, 1)
     )
     f = 0.5 * (f + f.conj().transpose(0, 2, 1)) / (2.0 * np.pi)
-    return FrequencyMatrix(grid, f)
-
-
-def reduce_pair(
-    model: VarModel, pair: ChannelPair, grid: FrequencyGrid
-) -> ReducedRepresentation:
-    """Bundle the reduced polynomial and error spectrum for a pair."""
     return ReducedRepresentation(
         pair=pair,
-        reduced_poly=reduced_polynomial(model, pair, grid),
-        error_spectrum=error_spectral_matrix(model, pair, grid),
+        reduced_poly=FrequencyMatrix(grid, a_ss.values - coupling @ a_rs.values),
+        error_spectrum=FrequencyMatrix(grid, f),
     )
 
 

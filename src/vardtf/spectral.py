@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateRow, ShapeMismatch, SingularAtFrequency
+from .jsonio import write_csv
 from .model import VarModel
 
 #: Number of grid points used when no grid is given: odd, so the midpoint
@@ -85,22 +86,27 @@ class FrequencyMatrix:
         return rows
 
 
+def lag_polynomial(coeffs: np.ndarray, grid: FrequencyGrid) -> FrequencyMatrix:
+    """I - sum_u C(u) exp(-i u lambda) on the grid, for a (p, d, d) lag array.
+
+    ``coeffs[u-1]`` is C(u); p = 0 yields the identity at every frequency.
+    """
+    lams = grid.points
+    p, d = coeffs.shape[0], coeffs.shape[1]
+    values = np.broadcast_to(np.eye(d, dtype=complex), (lams.size, d, d)).copy()
+    phases = np.exp(-1j * np.outer(lams, np.arange(1, p + 1)))  # (n, p)
+    values -= np.einsum("np,pjk->njk", phases, coeffs)
+    return FrequencyMatrix(grid=grid, values=values)
+
+
 def char_polynomial(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     """Characteristic matrix polynomial A(lambda) sampled on the grid.
 
     A(0) equals I minus the sum of all lag matrices; a white-noise model
     yields the identity at every frequency.
     """
-    lams = grid.points
-    values = np.broadcast_to(
-        np.eye(model.dim, dtype=complex), (lams.size, model.dim, model.dim)
-    ).copy()
-    if model.order > 0:
-        coeffs = np.stack(model.coeffs)  # (p, d, d)
-        lags = np.arange(1, model.order + 1)
-        phases = np.exp(-1j * np.outer(lams, lags))  # (n, p)
-        values -= np.einsum("np,pjk->njk", phases, coeffs)
-    return FrequencyMatrix(grid=grid, values=values)
+    coeffs = np.array(model.coeffs).reshape(model.order, model.dim, model.dim)
+    return lag_polynomial(coeffs, grid)
 
 
 def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
@@ -116,12 +122,18 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
         tolerance; this signals a model numerically too close to the unit
         circle.
     """
-    a = char_polynomial(model, grid)
-    h = _invert_pointwise(a)
-    return h
+    return invert_pointwise(char_polynomial(model, grid))
 
 
-def _invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
+def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
+    """Inverse of a square FrequencyMatrix at every grid point.
+
+    Raises
+    ------
+    SingularAtFrequency
+        At the first point where the matrix is singular or the residual
+        ||inv A - I||_F reaches 1e-10; ``detail`` names the matrix.
+    """
     values = fm.values
     n, d = values.shape[0], values.shape[1]
     eye = np.eye(d)
@@ -200,16 +212,11 @@ def frequency_matrix_to_csv(fm: FrequencyMatrix, fh) -> None:
     Header: ``lambda`` followed by ``re_j_k,im_j_k`` for every entry in
     row-major order, channel indices 1-based.
     """
-    rows, cols = fm.values.shape[1:]
+    n, rows, cols = fm.values.shape
     header = ["lambda"]
     for j in range(1, rows + 1):
         for k in range(1, cols + 1):
             header += [f"re_{j}_{k}", f"im_{j}_{k}"]
-    fh.write(",".join(header) + "\n")
-    for m, lam in enumerate(fm.grid.points):
-        cells = [format(lam, ".17g")]
-        for j in range(rows):
-            for k in range(cols):
-                z = fm.values[m, j, k]
-                cells += [format(z.real, ".17g"), format(z.imag, ".17g")]
-        fh.write(",".join(cells) + "\n")
+    # Viewing complex entries as float pairs interleaves re and im in place.
+    cells = np.ascontiguousarray(fm.values).reshape(n, -1).view(float)
+    write_csv(fh, header, fm.grid.points, cells)

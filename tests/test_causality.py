@@ -9,9 +9,11 @@ from vardtf import (
     dtf,
     full_report,
     make_var,
+    marginal_representation,
     multivariate_gc,
     transfer_function,
 )
+from vardtf.exceptions import SingularToeplitz
 
 from helpers import block_diagonal_model, dense_stable_model, random_stable_model
 
@@ -188,3 +190,20 @@ class TestFullReport:
             assert v.bivariate_gc is None
             assert v.max_phi is None
             assert isinstance(v.multivariate_gc, bool)
+
+    def test_rank_deficient_sigma(self):
+        # sigma = diag(1, 1, 0) makes channel 3 identically zero: every pair
+        # with it is a deterministic subprocess, the others stay white noise
+        m = make_var(counterexample_model(1.0, 1.0).coeffs, np.diag([1.0, 1.0, 0.0]))
+        report = full_report(m)
+        for target, source in ((0, 2), (1, 2), (2, 0), (2, 1)):
+            pair = ChannelPair(target=target, source=source)
+            with pytest.raises(SingularToeplitz) as exc:
+                marginal_representation(m, pair)
+            v = _verdict(report, target, source)
+            assert v.error == str(exc.value)
+            assert v.bivariate_gc is None
+        v = _verdict(report, 0, 1)
+        assert v.error is None
+        assert v.bivariate_gc is False
+        assert not v.contradiction

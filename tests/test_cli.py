@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vardtf import counterexample_model, read_model, write_model
+from vardtf import counterexample_model, make_var, read_model, write_model
 from vardtf.cli import main
 
 from helpers import random_stable_model
@@ -167,8 +167,6 @@ class TestOtherCommands:
         coeffs = [np.zeros((3, 3))]
         coeffs[0][2, 2] = 0.97
         coeffs[0][0, 2] = 0.5
-        from vardtf import make_var
-
         model_path = tmp_path / "slow.json"
         write_model(make_var(coeffs, np.eye(3)), model_path)
         code = run(
@@ -176,6 +174,32 @@ class TestOtherCommands:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error[numerical]")
+
+    def test_marginalize_not_converged_reports_orders(self, tmp_path, capsys):
+        coeffs = [np.zeros((3, 3))]
+        coeffs[0][2, 2] = 0.95
+        coeffs[0][0, 2] = 0.5
+        model = make_var(coeffs, np.eye(3))
+        assert model.spectral_radius == pytest.approx(0.95)
+        model_path = tmp_path / "slow.json"
+        write_model(model, model_path)
+        code = run(
+            "marginalize", "--model", model_path, "--pair", "1,2", "--qmax", 8
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[numerical]")
+        for order in (4, 8):
+            assert f"order {order}: tail_norm " in err
+        assert err.count("v_delta") == 3
+
+    def test_granger_json_rank_deficient_sigma(self, tmp_path, capsys):
+        model_path = tmp_path / "degenerate.json"
+        coeffs = counterexample_model(1.0, 1.0).coeffs
+        write_model(make_var(coeffs, np.diag([1.0, 1.0, 0.0])), model_path)
+        assert run("granger", "--model", model_path, "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sum(p["error"] is not None for p in doc["pairs"]) == 4
 
     def test_granger_json(self, capsys):
         assert run("granger", "--alpha", 1, "--beta", 1, "--json") == 0
@@ -214,6 +238,21 @@ class TestOtherCommands:
         assert (out_a / "trajectory.csv").read_bytes() == (
             out_b / "trajectory.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("moments", "--grid", 9),
+            ("simulate", "--length", 10, "--out", "sim", "--tol", 1e-6),
+            ("dtf", "--qmax", 8),
+            ("reduce", "--pair", "1,2", "--out", "red", "--tol", 1e-6),
+        ],
+    )
+    def test_rejects_flags_the_command_ignores(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv[0], "--alpha", 1, "--beta", 1, *argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_pair_validation(self, capsys):
         assert run("marginalize", "--alpha", 1, "--beta", 1, "--pair", "1,1") == 2

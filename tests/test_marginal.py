@@ -23,8 +23,9 @@ from vardtf.exceptions import (
     ShapeMismatch,
     SingularToeplitz,
 )
-from vardtf.marginal import _order_schedule, coefficient_polynomial
+from vardtf.marginal import _order_schedule
 from vardtf.moments import AutocovSequence
+from vardtf.spectral import lag_polynomial
 
 from helpers import direct_yule_walker, random_stable_model
 
@@ -247,7 +248,7 @@ class TestInnovationWhiteness:
         m = counterexample_model(1.0, 1.0)
         grid = default_grid()
         rep = marginal_representation(m, PAIR12)
-        phi = coefficient_polynomial(rep, grid).values
+        phi = lag_polynomial(rep.phis, grid).values
         from vardtf import spectral_density
 
         full = spectral_density(m, grid).values

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from vardtf import (
@@ -14,7 +15,7 @@ from vardtf import (
     subprocess_autocov,
 )
 from vardtf.exceptions import ShapeMismatch
-from vardtf.moments import _solve_lyapunov_direct, _solve_lyapunov_doubling
+from vardtf.moments import _solve_lyapunov_doubling
 
 from helpers import random_stable_model
 
@@ -86,27 +87,37 @@ class TestAutocov:
 
 class TestLyapunovSolvers:
     @pytest.mark.parametrize("n", [4, 12, 70])
-    def test_direct_vs_doubling(self, n):
+    def test_doubling_vs_scipy(self, n):
         rng = np.random.default_rng(n)
         comp = rng.normal(size=(n, n))
         comp *= 0.7 / np.max(np.abs(np.linalg.eigvals(comp)))
         w = rng.normal(size=(n, n))
         rhs = w @ w.T
-        direct = _solve_lyapunov_direct(comp, rhs)
         doubled = _solve_lyapunov_doubling(comp, rhs)
-        assert_allclose(direct, doubled, rtol=1e-9, atol=1e-9)
-        resid = np.linalg.norm(comp @ direct @ comp.T + rhs - direct)
-        assert resid < 1e-9 * np.linalg.norm(direct)
+        reference = scipy.linalg.solve_discrete_lyapunov(comp, rhs)
+        assert_allclose(doubled, reference, rtol=1e-9, atol=1e-9)
+        resid = np.linalg.norm(comp @ doubled @ comp.T + rhs - doubled)
+        assert resid < 1e-9 * np.linalg.norm(doubled)
 
-    def test_large_companion_uses_doubling_path(self):
-        # dim * order = 72 > 64 exercises the iterative branch end to end
+    def test_autocov_large_companion_vs_scipy(self):
+        # dim * order = 72: autocov end to end on a large companion matrix
         m = random_stable_model(2, dim=9, order=8, radius=0.5)
         seq = autocov(m, maxlag=3)
         comp = companion_matrix(m)
         rhs = np.zeros_like(comp)
         rhs[:9, :9] = m.sigma
-        direct = _solve_lyapunov_direct(comp, rhs)
-        assert_allclose(seq.gammas[0], direct[:9, :9], rtol=1e-9, atol=1e-10)
+        reference = scipy.linalg.solve_discrete_lyapunov(comp, rhs)
+        assert_allclose(seq.gammas[0], reference[:9, :9], rtol=1e-9, atol=1e-10)
+
+    @pytest.mark.parametrize("root", [1 - 1e-7, -(1 - 1e-7)])
+    def test_near_unit_root(self, root):
+        # companion dimension 12; the slow root must pass the 1e-10 residual
+        # gate and give the closed-form variance 1 / (1 - root^2)
+        m = make_var([np.diag([root] + [0.3] * 5), np.zeros((6, 6))], np.eye(6))
+        seq = autocov(m, maxlag=2)
+        expected = 1.0 / ((1.0 - root) * (1.0 + root))
+        assert seq.gammas[0, 0, 0] == pytest.approx(expected, rel=1e-9)
+        assert_allclose(np.diag(seq.gammas[0])[1:], 1.0 / (1.0 - 0.09), rtol=1e-12)
 
 
 class TestSubprocess:
