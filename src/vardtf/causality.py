@@ -15,16 +15,27 @@ bivariately Granger-causes the target, and a nonzero DTF does not require a
 multivariate causal link. Such pairs carry a contradiction flag. All
 verdicts are computed from the known model, never from data, because the
 question is about the measures themselves rather than estimation error.
+
+A report makes one autocovariance solve per model and one recursion pass
+per pair, and keeps each pair's representation (or the error that replaced
+it) on the verdict, so callers reuse it instead of marginalizing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import moments
 from .exceptions import VardtfError
-from .marginal import DEFAULT_Q_MAX, DEFAULT_TOL, marginal_representation
+from .marginal import (
+    DEFAULT_Q_MAX,
+    DEFAULT_TOL,
+    MarginalAR,
+    marginal_from_autocov,
+    marginal_representation,
+)
 from .model import ChannelPair, VarModel
 from .spectral import FrequencyGrid, default_grid, dtf
 
@@ -46,7 +57,8 @@ class PairVerdict:
     Granger-causes the target, or when DTF is nonzero without a
     multivariate causal link. ``error`` carries a message when the
     bivariate verdict could not be computed; the remaining fields are still
-    filled.
+    filled. ``marginal`` is the pair's representation and ``failure`` the
+    exception that replaced it; both are left out of comparisons.
     """
 
     target: int
@@ -59,6 +71,8 @@ class PairVerdict:
     max_phi: float | None
     max_coeff: float
     error: str | None = None
+    marginal: MarginalAR | None = field(default=None, compare=False, repr=False)
+    failure: VardtfError | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,11 @@ def bivariate_gc(
     (target, source) coefficient entries against the significance
     threshold. Returns (flag, max absolute coefficient entry).
     """
-    rep = marginal_representation(model, pair, q_max=q_max, tol=tol)
+    return _gc_verdict(marginal_representation(model, pair, q_max=q_max, tol=tol))
+
+
+def _gc_verdict(rep: MarginalAR) -> tuple:
+    """(flag, max |Phi(u)[target, source]|) of a pair's representation."""
     top = 0.0
     if rep.order_used > 0:
         top = float(np.max(np.abs(rep.phis[:, 0, 1])))
@@ -117,13 +135,19 @@ def full_report(
 ) -> CausalityReport:
     """All three verdicts for every ordered pair of distinct channels.
 
-    Per-pair numerical failures (e.g. a non-converged marginalization) are
-    recorded in that pair's ``error`` field without aborting the remaining
-    pairs.
+    The model's autocovariances are solved once, up to lag ``q_max``, and
+    every pair's representation is drawn from them. Per-pair numerical
+    failures (e.g. a non-converged marginalization) are recorded in that
+    pair's ``error`` field without aborting the remaining pairs; a failed
+    solve is every pair's failure.
     """
     if grid is None:
         grid = default_grid()
     dtf_vals = dtf(model, grid, normalized=True)
+    try:
+        acov, solve_failure = moments.autocov(model, maxlag=q_max), None
+    except VardtfError as exc:
+        acov, solve_failure = None, exc
     verdicts = []
     for target in range(model.dim):
         for source in range(model.dim):
@@ -133,11 +157,18 @@ def full_report(
             max_dtf = float(np.max(dtf_vals[:, target, source]))
             dtf_zero = max_dtf < DTF_ZERO_TOL
             mv_flag, max_coeff = multivariate_gc(model, pair)
-            try:
-                bi_flag, max_phi = bivariate_gc(model, pair, q_max=q_max, tol=tol)
-                error = None
-            except VardtfError as exc:
-                bi_flag, max_phi, error = None, None, str(exc)
+            rep, failure = None, solve_failure
+            if failure is None:
+                try:
+                    rep = marginal_from_autocov(
+                        moments.subprocess_autocov(acov, pair), pair, q_max, tol
+                    )
+                except VardtfError as exc:
+                    failure = exc
+            if rep is None:
+                bi_flag, max_phi, error = None, None, str(failure)
+            else:
+                (bi_flag, max_phi), error = _gc_verdict(rep), None
             contradiction = bool(
                 (dtf_zero and bi_flag is True)
                 or (not dtf_zero and not mv_flag)
@@ -154,6 +185,8 @@ def full_report(
                     max_phi=max_phi,
                     max_coeff=max_coeff,
                     error=error,
+                    marginal=rep,
+                    failure=failure,
                 )
             )
     verdicts.sort(key=lambda v: (v.target, v.source))

@@ -186,10 +186,10 @@ def _write_reduction(args, pair: ChannelPair) -> tuple:
     return deficit, white
 
 
-def _marginal_doc(args, pair: ChannelPair) -> tuple:
-    """Marginalize a pair; returns (representation, residual deficit, JSON document)."""
-    rep = marginal.marginal_representation(args.model, pair, q_max=args.qmax, tol=args.tol)
-    deficit = marginal.innovation_whiteness_check(args.model, pair, rep, args.grid)
+def _marginal_doc(args, rep, density=None) -> tuple:
+    """A pair's representation as JSON; returns (residual deficit, document)."""
+    pair = rep.pair
+    deficit = marginal.innovation_whiteness_check(args.model, pair, rep, args.grid, density)
     doc = {
         "order_used": rep.order_used,
         "phis": rep.phis.tolist(),
@@ -203,7 +203,15 @@ def _marginal_doc(args, pair: ChannelPair) -> tuple:
         "whiteness_deficit": deficit,
         "pair": {"target": pair.target + 1, "source": pair.source + 1},
     }
-    return rep, deficit, doc
+    return deficit, doc
+
+
+def _failure_doc(exc: VardtfError) -> dict:
+    """A pair's failed marginalization as JSON: the message, plus each order tried."""
+    doc = {"error": str(exc)}
+    if isinstance(exc, NotConverged):
+        doc["diagnostics"] = [{"order": q, **d} for q, d in exc.diagnostics.items()]
+    return doc
 
 
 def cmd_counterexample(args) -> int:
@@ -212,9 +220,14 @@ def cmd_counterexample(args) -> int:
     pair = ChannelPair(target=0, source=1)
     _write_csv(args.out / "transfer_function.csv", spectral.transfer_function(model, grid))
     deficit, _ = _write_reduction(args, pair)
-    _, rep_deficit, doc = _marginal_doc(args, pair)
-    _write_text(args.out / "marginal.json", canonical_json(doc))
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
+    verdict = next(
+        v for v in report.pairs if (v.target, v.source) == (pair.target, pair.source)
+    )
+    if verdict.failure is not None:
+        raise verdict.failure
+    rep_deficit, doc = _marginal_doc(args, verdict.marginal)
+    _write_text(args.out / "marginal.json", canonical_json(doc))
     _write_report(report, args.out)
 
     print(f"alpha={args.alpha:g} beta={args.beta:g}")
@@ -230,17 +243,19 @@ def cmd_analyze(args) -> int:
     model, grid = args.model, args.grid
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
     _write_report(report, args.out)
-    _write_csv(args.out / "spectral_density.csv", spectral.spectral_density(model, grid))
+    density = spectral.spectral_density(model, grid)
+    _write_csv(args.out / "spectral_density.csv", density)
     dtf_vals = spectral.dtf(model, grid, normalized=not args.raw)
     _write_csv(args.out / "dtf.csv", spectral.FrequencyMatrix(grid, dtf_vals.astype(complex)))
 
     marginals: dict = {}
     for v in report.pairs:
-        pair = ChannelPair(target=v.target, source=v.source)
-        try:
-            marginals[_pair_label(v)] = _marginal_doc(args, pair)[2]
-        except VardtfError as exc:
-            marginals[_pair_label(v)] = {"error": str(exc)}
+        if v.marginal is None:
+            marginals[_pair_label(v)] = _failure_doc(v.failure)
+        else:
+            marginals[_pair_label(v)] = _marginal_doc(args, v.marginal, density)[1]
+    # the grid arrays are not needed for the largest document; free them first
+    del density, dtf_vals
     _write_text(args.out / "marginals.json", canonical_json(marginals))
 
     print(_report_table(report))
@@ -263,7 +278,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_marginalize(args) -> int:
-    rep, deficit, doc = _marginal_doc(args, args.pair)
+    rep = marginal.marginal_representation(args.model, args.pair, q_max=args.qmax, tol=args.tol)
+    deficit, doc = _marginal_doc(args, rep)
     if args.out is not None:
         _write_text(args.out / "marginal.json", canonical_json(doc))
     print(f"pair {args.pair.target + 1}<-{args.pair.source + 1}")

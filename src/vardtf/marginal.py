@@ -10,12 +10,15 @@ covariance at every intermediate order.
 Marginal representations are generically of infinite order with
 geometrically decaying tails, so the driver grows the order until the last
 coefficient block and the innovation-trace decrement both fall below a
-tolerance.
+tolerance. The model's autocovariances are solved once and each pair's are
+selected from them; one recursion pass per pair is checked for convergence
+at the orders 4, 8, .., and the block-Toeplitz condition number is taken
+only at the order returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +88,82 @@ class MarginalAR:
         object.__setattr__(self, "innov_cov", v)
 
 
+def _levinson_whittle(acov: AutocovSequence, q: int):
+    """Run the recursion to order ``q``, yielding its state after each step.
+
+    Yields (order, fwd, v, tail_norm, v_delta): ``fwd[u-1]`` is the forward
+    coefficient at lag u and ``v`` the forward error covariance. Forward and
+    backward quantities are stacked, so each step updates both predictors at
+    every lag, and both error covariances, in single array operations;
+    ``delta`` subtracts the lag terms from Gamma(n+1) in lag order.
+    """
+    if q < 0:
+        raise ShapeMismatch("order must be non-negative")
+    if q > acov.maxlag:
+        raise ShapeMismatch(f"order {q} exceeds available lags {acov.maxlag}")
+    d = acov.dim
+    gam = acov.gammas
+
+    # pred[0, u-1], pred[1, u-1]: forward and backward coefficients at lag u;
+    # cov[0], cov[1]: forward and backward error covariances.
+    pred = np.zeros((2, 0, d, d))
+    cov = np.array((gam[0], gam[0]))
+    trace_v = float(np.trace(cov[0]))
+
+    for n in range(q):
+        delta = np.subtract.reduce(
+            np.concatenate((gam[n + 1][None], pred[0] @ gam[n:0:-1])), axis=0
+        )
+        rhs = np.array((delta.T, delta))
+        try:
+            # forward gain delta w^-1, backward gain delta' v^-1
+            gains = np.linalg.solve(cov[::-1].transpose(0, 2, 1), rhs).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:
+            raise SingularToeplitz(
+                f"prediction-error covariance singular at order {n + 1}"
+            ) from None
+
+        pred = np.concatenate(
+            (pred - gains[:, None] @ pred[::-1, ::-1], gains[:, None]), axis=1
+        )
+        cov = cov - gains @ rhs
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        eig_min = float(np.linalg.eigvalsh(cov[0])[0])
+        if eig_min < INNOV_PSD_FLOOR:
+            raise NumericalBreakdown(
+                f"innovation covariance eigenvalue {eig_min:.3g} at order {n + 1}"
+            )
+        trace_next = float(np.trace(cov[0]))
+        v_delta = abs(trace_v - trace_next)
+        trace_v = trace_next
+        yield n + 1, pred[0], cov[0], float(np.linalg.norm(gains[0], "fro")), v_delta
+
+
+def _representation(
+    acov: AutocovSequence,
+    q: int,
+    fwd: np.ndarray,
+    v: np.ndarray,
+    tail_norm: float,
+    v_delta: float,
+    tol: float,
+    pair: ChannelPair | None = None,
+) -> MarginalAR:
+    """The order-``q`` state of the recursion as a MarginalAR, with its conditioning."""
+    cond = float(np.linalg.cond(block_toeplitz(acov, max(q, 1))))
+    converged = bool(q > 0 and tail_norm < tol and v_delta < tol)
+    return MarginalAR(
+        pair=pair,
+        order_used=q,
+        phis=fwd.copy(),  # not a view: the backward coefficients can be freed
+        innov_cov=v,
+        convergence=ConvergenceInfo(
+            tail_norm=tail_norm, v_delta=v_delta, converged=converged
+        ),
+        toeplitz_cond=cond,
+    )
+
+
 def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -> MarginalAR:
     """Forward predictor of order ``q`` from autocovariances, by Levinson-Whittle.
 
@@ -117,64 +196,10 @@ def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -
         The innovation covariance lost positive semi-definiteness beyond
         the -1e-8 eigenvalue floor.
     """
-    if q < 0:
-        raise ShapeMismatch("order must be non-negative")
-    if q > acov.maxlag:
-        raise ShapeMismatch(f"order {q} exceeds available lags {acov.maxlag}")
-    d = acov.dim
-    gam = acov.gammas
-
-    v = gam[0].copy()  # forward error covariance
-    w = gam[0].copy()  # backward error covariance
-    fwd: list[np.ndarray] = []
-    bwd: list[np.ndarray] = []
-    tail_norm = np.inf
-    v_delta = np.inf
-
-    for n in range(q):
-        delta = gam[n + 1].copy()
-        for u in range(1, n + 1):
-            delta -= fwd[u - 1] @ gam[n + 1 - u]
-        try:
-            gain_f = np.linalg.solve(w.T, delta.T).T
-            gain_b = np.linalg.solve(v.T, delta).T
-        except np.linalg.LinAlgError:
-            raise SingularToeplitz(
-                f"prediction-error covariance singular at order {n + 1}"
-            ) from None
-
-        new_fwd = [fwd[u - 1] - gain_f @ bwd[n - u] for u in range(1, n + 1)]
-        new_bwd = [bwd[u - 1] - gain_b @ fwd[n - u] for u in range(1, n + 1)]
-        new_fwd.append(gain_f)
-        new_bwd.append(gain_b)
-        fwd, bwd = new_fwd, new_bwd
-
-        v_next = v - gain_f @ delta.T
-        w_next = w - gain_b @ delta
-        v_next = 0.5 * (v_next + v_next.T)
-        w_next = 0.5 * (w_next + w_next.T)
-        eig_min = float(np.linalg.eigvalsh(v_next)[0])
-        if eig_min < INNOV_PSD_FLOOR:
-            raise NumericalBreakdown(
-                f"innovation covariance eigenvalue {eig_min:.3g} at order {n + 1}"
-            )
-        v_delta = abs(float(np.trace(v)) - float(np.trace(v_next)))
-        v, w = v_next, w_next
-        tail_norm = float(np.linalg.norm(gain_f, "fro"))
-
-    phis = np.stack(fwd) if fwd else np.zeros((0, d, d))
-    cond = float(np.linalg.cond(block_toeplitz(acov, max(q, 1))))
-    converged = bool(q > 0 and tail_norm < tol and v_delta < tol)
-    return MarginalAR(
-        pair=None,
-        order_used=q,
-        phis=phis,
-        innov_cov=v,
-        convergence=ConvergenceInfo(
-            tail_norm=tail_norm, v_delta=v_delta, converged=converged
-        ),
-        toeplitz_cond=cond,
-    )
+    state = (0, np.zeros((0, acov.dim, acov.dim)), acov.gammas[0].copy(), np.inf, np.inf)
+    for state in _levinson_whittle(acov, q):
+        pass
+    return _representation(acov, *state, tol)
 
 
 def _order_schedule(q_max: int) -> list:
@@ -188,6 +213,43 @@ def _order_schedule(q_max: int) -> list:
     return qs
 
 
+def marginal_from_autocov(
+    seq: AutocovSequence,
+    pair: ChannelPair,
+    q_max: int = DEFAULT_Q_MAX,
+    tol: float = DEFAULT_TOL,
+) -> MarginalAR:
+    """Marginal representation of ``pair`` from the pair's own autocovariances.
+
+    ``seq`` is the pair's Gamma(0..q_max), selected from one model-wide
+    solve with ``subprocess_autocov``. One recursion pass runs to at most
+    ``q_max`` and checks convergence at the orders 4, 8, .., q_max; the
+    block-Toeplitz condition number is taken only at the order returned.
+
+    Raises
+    ------
+    NotConverged
+        As ``marginal_representation``.
+    """
+    schedule = _order_schedule(q_max)
+    checks = iter(schedule)
+    check = next(checks)
+    diagnostics: dict = {}
+    for q, fwd, v, tail_norm, v_delta in _levinson_whittle(seq, schedule[-1]):
+        if q != check:
+            continue
+        diagnostics[q] = {"tail_norm": tail_norm, "v_delta": v_delta}
+        if tail_norm < tol and v_delta < tol:
+            return _representation(seq, q, fwd, v, tail_norm, v_delta, tol, pair)
+        check = next(checks, None)
+    raise NotConverged(
+        f"marginal representation not converged by order {q_max} "
+        f"(tail {tail_norm:.3g}, v_delta {v_delta:.3g})",
+        best=_representation(seq, q, fwd, v, tail_norm, v_delta, tol, pair),
+        diagnostics=diagnostics,
+    )
+
+
 def marginal_representation(
     model: VarModel,
     pair: ChannelPair,
@@ -196,10 +258,10 @@ def marginal_representation(
 ) -> MarginalAR:
     """True bivariate AR representation of a channel pair of a stable model.
 
-    Computes the pair's exact autocovariances, then runs the predictor
-    recursion with the order doubling from 4 up to ``q_max`` until the last
-    coefficient block has Frobenius norm below ``tol`` and the innovation
-    trace has stabilized to within ``tol``.
+    Computes the model's exact autocovariances up to lag ``q_max``, then
+    runs the predictor recursion once, checking at the orders 4, 8, .. up
+    to ``q_max`` whether the last coefficient block has Frobenius norm
+    below ``tol`` and the innovation trace has stabilized to within ``tol``.
 
     Raises
     ------
@@ -209,24 +271,7 @@ def marginal_representation(
     """
     pair.check_dim(model.dim)
     seq = subprocess_autocov(autocov(model, maxlag=q_max), pair)
-    diagnostics: dict = {}
-    rep = None
-    for q in _order_schedule(q_max):
-        rep = whittle_recursion(seq, q, tol)
-        rep = replace(rep, pair=pair)
-        diagnostics[q] = {
-            "tail_norm": rep.convergence.tail_norm,
-            "v_delta": rep.convergence.v_delta,
-        }
-        if rep.convergence.converged:
-            return rep
-    raise NotConverged(
-        f"marginal representation not converged by order {q_max} "
-        f"(tail {rep.convergence.tail_norm:.3g}, "
-        f"v_delta {rep.convergence.v_delta:.3g})",
-        best=rep,
-        diagnostics=diagnostics,
-    )
+    return marginal_from_autocov(seq, pair, q_max, tol)
 
 
 def innovation_whiteness_check(
@@ -234,6 +279,7 @@ def innovation_whiteness_check(
     pair: ChannelPair,
     rep: MarginalAR,
     grid: FrequencyGrid,
+    density: FrequencyMatrix | None = None,
 ) -> float:
     """Whiteness deficit of the residual spectrum implied by a representation.
 
@@ -243,13 +289,14 @@ def innovation_whiteness_check(
     representation is the true projection, the result is the constant
     V / 2 pi and the deficit is numerically zero; a truncated or otherwise
     invalid representation leaves frequency structure behind and scores a
-    large deficit.
+    large deficit. ``density`` is the model's spectral density on ``grid``
+    when the caller already has it.
     """
     if rep.pair is not None and rep.pair != pair:
         raise ShapeMismatch("representation was computed for a different pair")
     pair.check_dim(model.dim)
     channels = pair.channels
-    full = spectral_density(model, grid)
+    full = spectral_density(model, grid) if density is None else density
     f_s = full.values[np.ix_(range(len(grid)), channels, channels)]
     phi = lag_polynomial(rep.phis, grid).values
     resid = phi @ f_s @ phi.conj().transpose(0, 2, 1)

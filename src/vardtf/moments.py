@@ -128,9 +128,10 @@ def subprocess_autocov(seq: AutocovSequence, pair) -> AutocovSequence:
     for ch in channels:
         if not 0 <= ch < seq.dim:
             raise ShapeMismatch(f"channel {ch} out of range for dim {seq.dim}")
-    sel = np.ix_(channels, channels)
-    gammas = np.stack([g[sel] for g in seq.gammas])
-    return AutocovSequence(dim=len(channels), maxlag=seq.maxlag, gammas=gammas)
+    rows, cols = np.ix_(channels, channels)
+    return AutocovSequence(
+        dim=len(channels), maxlag=seq.maxlag, gammas=seq.gammas[:, rows, cols]
+    )
 
 
 def block_toeplitz(seq: AutocovSequence, nblocks: int | None = None) -> np.ndarray:
@@ -142,9 +143,12 @@ def block_toeplitz(seq: AutocovSequence, nblocks: int | None = None) -> np.ndarr
     n = seq.maxlag + 1 if nblocks is None else nblocks
     if n - 1 > seq.maxlag:
         raise ShapeMismatch(f"need lags up to {n - 1}, have {seq.maxlag}")
+    if n < 0:
+        raise ShapeMismatch("block count must be non-negative")
     d = seq.dim
-    out = np.zeros((n * d, n * d))
-    for a in range(n):
-        for b in range(n):
-            out[a * d : (a + 1) * d, b * d : (b + 1) * d] = seq.gamma(b - a)
-    return out
+    # lagged[k] is Gamma(k - n + 1): Gamma(-h) = Gamma(h)' first, then h >= 0.
+    lagged = np.concatenate(
+        (seq.gammas[1:n][::-1].transpose(0, 2, 1), seq.gammas[:n])
+    )
+    index = np.arange(n)[None, :] - np.arange(n)[:, None] + n - 1
+    return lagged[index].transpose(0, 2, 1, 3).reshape(n * d, n * d)

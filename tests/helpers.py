@@ -97,6 +97,21 @@ def direct_yule_walker(gammas, q):
     return phis, 0.5 * (v + v.T)
 
 
+def block_toeplitz_reference(gammas, n):
+    """Block-Toeplitz matrix with block (a, b) = Gamma(b - a), block by block.
+
+    Plain double loop over the blocks, kept as the reference for the
+    library's index-array construction.
+    """
+    d = gammas.shape[1]
+    out = np.zeros((n * d, n * d))
+    for a in range(n):
+        for b in range(n):
+            block = gammas[b - a] if b >= a else gammas[a - b].T
+            out[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
+    return out
+
+
 def smoothed_periodogram(samples, half_width):
     """Boxcar-smoothed periodogram matrices at the Fourier frequencies.
 

@@ -13,7 +13,8 @@ from vardtf import (
     multivariate_gc,
     transfer_function,
 )
-from vardtf.exceptions import SingularToeplitz
+from vardtf import moments
+from vardtf.exceptions import NoConvergence, NotConverged, SingularToeplitz
 
 from helpers import block_diagonal_model, dense_stable_model, random_stable_model
 
@@ -207,3 +208,50 @@ class TestFullReport:
         assert v.error is None
         assert v.bivariate_gc is False
         assert not v.contradiction
+
+    def test_one_autocov_solve_per_model(self, monkeypatch):
+        calls = []
+        solve = moments.autocov
+
+        def counting(model, maxlag=None):
+            calls.append(maxlag)
+            return solve(model, maxlag)
+
+        monkeypatch.setattr(moments, "autocov", counting)
+        report = full_report(random_stable_model(3, dim=4, order=2), q_max=64)
+        assert len(report.pairs) == 12
+        assert calls == [64]
+
+    def test_verdicts_carry_the_representations(self):
+        m = random_stable_model(4, dim=3, order=2, radius=0.7)
+        for v in full_report(m).pairs:
+            pair = ChannelPair(target=v.target, source=v.source)
+            rep = marginal_representation(m, pair)
+            assert v.failure is None and v.marginal.pair == pair
+            assert np.array_equal(v.marginal.phis, rep.phis)
+            assert np.array_equal(v.marginal.innov_cov, rep.innov_cov)
+            assert v.marginal.toeplitz_cond == rep.toeplitz_cond
+            assert (v.bivariate_gc, v.max_phi) == bivariate_gc(m, pair)
+
+    def test_verdicts_carry_the_failures(self):
+        coeffs = [np.zeros((3, 3))]
+        coeffs[0][2, 2] = 0.97
+        coeffs[0][0, 2] = 0.5
+        report = full_report(make_var(coeffs, np.eye(3)), default_grid(33), q_max=8)
+        for v in report.pairs:
+            if v.error is None:
+                assert v.failure is None and v.marginal is not None
+            else:
+                assert isinstance(v.failure, NotConverged) and v.marginal is None
+                assert v.error == str(v.failure)
+
+    def test_failed_solve_fails_every_pair(self, monkeypatch):
+        def stalled(model, maxlag=None):
+            raise NoConvergence("doubling iteration for the Lyapunov equation stalled")
+
+        monkeypatch.setattr(moments, "autocov", stalled)
+        report = full_report(counterexample_model(1.0, 1.0), default_grid(33))
+        for v in report.pairs:
+            assert v.error == "doubling iteration for the Lyapunov equation stalled"
+            assert v.bivariate_gc is None and v.max_phi is None
+            assert isinstance(v.failure, NoConvergence)

@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from vardtf import counterexample_model, make_var, read_model, write_model
+from vardtf import (
+    ChannelPair,
+    counterexample_model,
+    make_var,
+    marginal_representation,
+    moments,
+    read_model,
+    write_model,
+)
 from vardtf.cli import main
+from vardtf.exceptions import NoConvergence, NotConverged
+from vardtf.jsonio import canonical_json
 
 from helpers import random_stable_model
 
@@ -81,6 +91,60 @@ class TestAnalyzeCommand:
         assert run("analyze", "--model", model_path, "--out", out_b) == 0
         for name in ("report.json", "marginals.json", "spectral_density.csv", "dtf.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_marginals_match_marginalize(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        write_model(random_stable_model(7, dim=3, order=2, radius=0.7), model_path)
+        assert run("analyze", "--model", model_path, "--out", tmp_path / "all") == 0
+        marginals = json.loads((tmp_path / "all" / "marginals.json").read_text())
+        assert len(marginals) == 6
+        for label, entry in marginals.items():
+            target, source = label.split("<-")
+            out = tmp_path / label.replace("<-", "_")
+            assert run(
+                "marginalize", "--model", model_path, "--pair", f"{target},{source}",
+                "--out", out,
+            ) == 0
+            assert canonical_json(entry) == (out / "marginal.json").read_text()
+
+    def test_not_converged_pairs_keep_diagnostics(self, tmp_path):
+        coeffs = [np.zeros((3, 3))]
+        coeffs[0][2, 2] = 0.95
+        coeffs[0][0, 2] = 0.5
+        model = make_var(coeffs, np.eye(3))
+        model_path = tmp_path / "slow.json"
+        write_model(model, model_path)
+        out = tmp_path / "out"
+        assert run("analyze", "--model", model_path, "--qmax", 8, "--out", out) == 0
+        marginals = json.loads((out / "marginals.json").read_text())
+        failed = {label: e for label, e in marginals.items() if "error" in e}
+        assert failed and len(failed) < len(marginals)
+        for label, entry in failed.items():
+            target, source = (int(c) - 1 for c in label.split("<-"))
+            with pytest.raises(NotConverged) as exc:
+                marginal_representation(
+                    model, ChannelPair(target=target, source=source), q_max=8
+                )
+            assert entry["error"] == str(exc.value)
+            assert entry["diagnostics"] == [
+                {"order": q, "tail_norm": d["tail_norm"], "v_delta": d["v_delta"]}
+                for q, d in exc.value.diagnostics.items()
+            ]
+            assert [d["order"] for d in entry["diagnostics"]] == [4, 8]
+
+    def test_failed_solve_is_every_pair_error(self, tmp_path, monkeypatch):
+        def stalled(model, maxlag=None):
+            raise NoConvergence("doubling iteration for the Lyapunov equation stalled")
+
+        monkeypatch.setattr(moments, "autocov", stalled)
+        out = tmp_path / "out"
+        assert run("analyze", "--alpha", 1, "--beta", 1, "--out", out) == 0
+        marginals = json.loads((out / "marginals.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert len(marginals) == 6
+        for entry in marginals.values():
+            assert entry == {"error": "doubling iteration for the Lyapunov equation stalled"}
+        assert all(p["error"] == entry["error"] for p in report["pairs"])
 
     def test_builtin_equivalence_with_counterexample_command(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

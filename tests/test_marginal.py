@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from vardtf import (
@@ -212,6 +214,73 @@ class TestMarginalRepresentation:
         dev = np.abs(np.stack(fit.model.coeffs) - rep.phis)
         within = dev <= 4.0 * fit.stderr
         assert within.mean() > 0.9
+
+
+def _recomputed(model, pair, q_max, order):
+    """The order-``order`` predictor by a fresh whittle_recursion call."""
+    return whittle_recursion(subprocess_autocov(autocov(model, q_max), pair), order)
+
+
+def _assert_same_predictor(rep, ref):
+    assert rep.order_used == ref.order_used
+    assert np.array_equal(rep.phis, ref.phis)
+    assert np.array_equal(rep.innov_cov, ref.innov_cov)
+    assert rep.convergence == ref.convergence
+    assert rep.toeplitz_cond == ref.toeplitz_cond
+
+
+class TestSinglePass:
+    """The one-pass driver returns exactly what a restart at its order gives."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("q_max", [3, 16, 128])
+    def test_matches_whittle_recursion(self, seed, q_max):
+        m = random_stable_model(seed, dim=4, order=3, radius=0.8)
+        for pair in (PAIR12, ChannelPair(target=3, source=1)):
+            try:
+                rep = marginal_representation(m, pair, q_max=q_max)
+            except NotConverged as exc:
+                rep = exc.best
+            assert rep.pair == pair
+            _assert_same_predictor(rep, _recomputed(m, pair, q_max, rep.order_used))
+
+    def test_not_converged_best_and_diagnostics(self):
+        coeffs = [np.zeros((3, 3))]
+        coeffs[0][2, 2] = 0.95
+        coeffs[0][0, 2] = 0.5
+        m = make_var(coeffs, np.eye(3))
+        with pytest.raises(NotConverged) as exc:
+            marginal_representation(m, PAIR12, q_max=24)
+        _assert_same_predictor(exc.value.best, _recomputed(m, PAIR12, 24, 24))
+        assert list(exc.value.diagnostics) == [4, 8, 16, 24]
+        for q, diag in exc.value.diagnostics.items():
+            conv = _recomputed(m, PAIR12, 24, q).convergence
+            assert diag == {"tail_norm": conv.tail_norm, "v_delta": conv.v_delta}
+
+    def test_order_cap_beyond_lags_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            marginal_representation(counterexample_model(1.0, 1.0), PAIR12, q_max=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 5),
+    order=st.integers(1, 3),
+    radius=st.floats(0.1, 0.8),
+    data=st.data(),
+)
+def test_swapped_pair_symmetry(seed, dim, order, radius, data):
+    # (a, b) and (b, a) marginalize the same subprocess in swapped channel
+    # order, so every output is the other's with rows and columns swapped
+    m = random_stable_model(seed, dim=dim, order=order, radius=radius)
+    a, b = data.draw(st.permutations(range(dim)))[:2]
+    ab = marginal_representation(m, ChannelPair(target=a, source=b))
+    ba = marginal_representation(m, ChannelPair(target=b, source=a))
+    swap = [1, 0]
+    assert ab.order_used == ba.order_used
+    assert_allclose(ab.innov_cov, ba.innov_cov[np.ix_(swap, swap)], rtol=0, atol=1e-12)
+    assert_allclose(ab.phis, ba.phis[:, swap][:, :, swap], rtol=0, atol=1e-12)
 
 
 class TestInnovationWhiteness:

@@ -17,7 +17,7 @@ from vardtf import (
 from vardtf.exceptions import ShapeMismatch
 from vardtf.moments import _solve_lyapunov_doubling
 
-from helpers import random_stable_model
+from helpers import block_toeplitz_reference, random_stable_model
 
 
 class TestAutocov:
@@ -74,6 +74,20 @@ class TestAutocov:
         seq = autocov(m, maxlag=12)
         eigs = np.linalg.eigvalsh(block_toeplitz(seq))
         assert eigs.min() >= -1e-8
+
+    @pytest.mark.parametrize("nblocks", [0, 1, 2, 5, 9])
+    def test_block_toeplitz_matches_double_loop(self, nblocks):
+        seq = autocov(random_stable_model(11, dim=3, order=4), maxlag=8)
+        got = block_toeplitz(seq, nblocks)
+        assert got.shape == (3 * nblocks, 3 * nblocks)
+        assert np.array_equal(got, block_toeplitz_reference(seq.gammas, nblocks))
+
+    def test_block_toeplitz_rejects_too_many_blocks(self):
+        seq = autocov(random_stable_model(11, dim=3, order=4), maxlag=8)
+        with pytest.raises(ShapeMismatch):
+            block_toeplitz(seq, 10)
+        with pytest.raises(ShapeMismatch):
+            block_toeplitz(seq, -1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_geometric_decay(self, seed):
@@ -146,6 +160,12 @@ class TestSubprocess:
         sub = subprocess_autocov(autocov(m, maxlag=6), (0, 2))
         assert np.all(np.abs(sub.gammas[:, 0, 1]) < 1e-12)
         assert np.all(np.abs(sub.gammas[:, 1, 0]) < 1e-12)
+
+    def test_selection_is_exact(self):
+        seq = autocov(random_stable_model(11, dim=4, order=4), maxlag=6)
+        sub = subprocess_autocov(seq, (3, 1))
+        want = np.stack([g[np.ix_((3, 1), (3, 1))] for g in seq.gammas])
+        assert np.array_equal(sub.gammas, want)
 
     def test_rejects_bad_channels(self):
         seq = autocov(random_stable_model(1), maxlag=2)
