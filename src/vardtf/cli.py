@@ -75,6 +75,8 @@ def _load_model(args) -> VarModel:
 def _make_grid(args) -> spectral.FrequencyGrid:
     count = args.grid
     if args.fs is None:
+        if args.band:
+            raise ValueError("--band needs --fs")
         return spectral.default_grid(count)
     fs = args.fs
     if fs <= 0:

@@ -6,11 +6,17 @@ spectra, least-squares fits should recover its coefficients, and residuals
 of a correctly specified fit should pass whiteness diagnostics.
 
 Simulation uses a counter-based generator (Philox) so trajectories are
-reproducible across platforms for a given seed.
+reproducible across platforms for a given seed. The recursion runs in
+blocks of 64 steps: x(t0+i) is the block's forced response (its own
+innovations convolved with the MA taps Psi_0..Psi_i) plus the top block row
+of C^(i+1), C the companion matrix, applied to the state that the previous
+block left. The forced responses of all blocks are stepped through the 64
+block positions at once; only the free responses go block by block.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,21 +24,8 @@ from scipy import linalg, stats
 
 from .exceptions import RankDeficientRegressors, ShapeMismatch
 from .jsonio import write_csv
-from .model import VarModel, make_var
+from .model import VarModel, companion_matrix, make_var
 from .moments import AutocovSequence
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        return decorator
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,30 +86,33 @@ class WhitenessReport:
     p_value: float
 
 
-@njit(cache=False)
-def _recurse(coeffs, eps, p):  # pragma: no cover - numba-compiled
-    n, d = eps.shape
-    out = np.zeros((n, d))
-    for t in range(n):
-        for j in range(d):
-            acc = eps[t, j]
-            for u in range(p):
-                if t - 1 - u >= 0:
-                    for k in range(d):
-                        acc += coeffs[u, j, k] * out[t - 1 - u, k]
-            out[t, j] = acc
-    return out
+#: Steps per block of the simulator kernel.
+_BLOCK = 64
 
 
-def _recurse_numpy(coeffs, eps, p):
+def _recurse(comp: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """x(t) = sum_u A(u) x(t-u) + eps(t) from a zero state; ``comp`` is C."""
     n, d = eps.shape
-    out = np.zeros((n, d))
-    for t in range(n):
-        acc = eps[t].copy()
-        for u in range(min(p, t)):
-            acc += coeffs[u] @ out[t - 1 - u]
-        out[t] = acc
-    return out
+    p = comp.shape[0] // d
+    blocks = -(-n // _BLOCK)
+    padded = np.zeros((blocks * _BLOCK, d))
+    padded[:n] = eps
+    # forced[i, b]: position i of block b; tops[i]: top block row of C^(i+1).
+    forced = padded.reshape(blocks, _BLOCK, d).transpose(1, 0, 2).copy()
+    tops = np.empty((_BLOCK, d, d * p))
+    tops[0] = comp[:d]
+    for i in range(1, _BLOCK):
+        tops[i] = tops[i - 1] @ comp
+        for u in range(min(p, i)):
+            forced[i] += forced[i - 1 - u] @ comp[:d, u * d : (u + 1) * d].T
+    # out keeps p leading zero rows: the state before the first block.
+    out = np.zeros((p + blocks * _BLOCK, d))
+    out[p:].reshape(blocks, _BLOCK, d)[...] = forced.transpose(1, 0, 2)
+    free = tops.reshape(_BLOCK * d, d * p)
+    for t0 in range(p, p + blocks * _BLOCK, _BLOCK):
+        state = out[t0 - p : t0][::-1].ravel()
+        out[t0 : t0 + _BLOCK] += (free @ state).reshape(_BLOCK, d)
+    return out[p : p + n]
 
 
 def _innovation_factor(sigma: np.ndarray) -> np.ndarray:
@@ -149,9 +145,7 @@ def simulate(
     if model.order == 0:
         samples = eps[burn_in:]
     else:
-        coeffs = np.stack(model.coeffs)
-        kernel = _recurse if HAS_NUMBA else _recurse_numpy
-        samples = kernel(coeffs, eps, model.order)[burn_in:]
+        samples = _recurse(companion_matrix(model), eps)[burn_in:]
     return Trajectory(dim=model.dim, length=length, samples=samples, seed=seed)
 
 
@@ -214,11 +208,9 @@ def fit_var(traj: Trajectory, order: int, diag_lags: int = 12) -> FitResult:
     gram_inv = linalg.cho_solve(chol, np.eye(ncoef))
     # coef[(u-1)*d + k, j] is the lag-u weight of channel k in equation j.
     coeffs = [coef[(u - 1) * d : u * d, :].T for u in range(1, order + 1)]
-    stderr = np.empty((order, d, d))
-    diag_gram = np.diag(gram_inv)
-    for u in range(order):
-        for k in range(d):
-            stderr[u, :, k] = np.sqrt(sigma.diagonal() * diag_gram[u * d + k])
+    stderr = np.sqrt(
+        sigma.diagonal()[None, :, None] * np.diag(gram_inv).reshape(order, 1, d)
+    )
 
     fitted = make_var(coeffs, sigma)
     acorr = _lag_correlations(sample_autocov(residuals, min(diag_lags, nobs - 1)))
@@ -286,16 +278,18 @@ def read_trajectory(fh, seed: int = 0) -> Trajectory:
     dim = len(header) - 1
     if dim < 1:
         raise ShapeMismatch("trajectory CSV has no channel columns")
-    rows = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != dim + 1:
-            raise ShapeMismatch(
-                f"trajectory row has {len(cells)} cells, expected {dim + 1}"
+    with warnings.catch_warnings():
+        # loadtxt warns on a header-only file; that case is raised below.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(
+                (line for line in fh if line.strip()), delimiter=",", ndmin=2
             )
-        rows.append([float(c) for c in cells[1:]])
-    samples = np.asarray(rows)
+        except ValueError as exc:
+            raise ShapeMismatch(f"malformed trajectory CSV: {exc}") from None
+    if data.shape[0] == 0:
+        raise ShapeMismatch("trajectory CSV has no rows")
+    if data.shape[1] != dim + 1:
+        raise ShapeMismatch(f"trajectory rows have {data.shape[1]} cells, not {dim + 1}")
+    samples = data[:, 1:]
     return Trajectory(dim=dim, length=samples.shape[0], samples=samples, seed=seed)

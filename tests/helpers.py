@@ -112,6 +112,26 @@ def block_toeplitz_reference(gammas, n):
     return out
 
 
+def simulate_reference(model, length, seed, burn_in):
+    """Samples of ``simulate(model, length, seed, burn_in)``, one step at a time.
+
+    Draws the same Philox innovations times the Cholesky factor of Sigma and
+    runs x(t) = e(t) + sum_u A(u) x(t-u) from zero initial conditions in a
+    plain loop over t; kept as the reference for the library's blocked
+    kernel.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    eps = rng.standard_normal((burn_in + length, model.dim))
+    eps = eps @ np.linalg.cholesky(model.sigma).T
+    out = np.zeros_like(eps)
+    for t in range(len(eps)):
+        acc = eps[t].copy()
+        for u in range(min(model.order, t)):
+            acc += model.coeffs[u] @ out[t - 1 - u]
+        out[t] = acc
+    return out[burn_in:]
+
+
 def smoothed_periodogram(samples, half_width):
     """Boxcar-smoothed periodogram matrices at the Fourier frequencies.
 

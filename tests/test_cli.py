@@ -204,6 +204,15 @@ class TestOtherCommands:
         ) == 2
         assert capsys.readouterr().err.startswith("error[usage]")
 
+    def test_band_without_fs(self, capsys):
+        assert run(
+            "dtf", "--alpha", 1, "--beta", 1, "--grid", 3, "--band", "0.1,0.2"
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[usage]: --band needs --fs")
+        assert captured.err.count("\n") == 1
+
     def test_reduce(self, tmp_path):
         out = tmp_path / "red"
         assert run(

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from vardtf import (
 from vardtf.estimate import Trajectory, read_trajectory, write_trajectory
 from vardtf.exceptions import RankDeficientRegressors, ShapeMismatch
 
-from helpers import random_stable_model
+from helpers import dense_stable_model, random_stable_model, simulate_reference
+
+# Lengths around the simulator's 64-step blocks. A 64-step burn-in keeps each
+# at the same offset in its last block; 40, the floor for order 4, leaves the
+# shortest run inside one block.
+LENGTHS = [1, 63, 64, 65, 5000]
+BURN_INS = [40, 64]
 
 
 class TestSimulate:
@@ -59,17 +66,41 @@ class TestSimulate:
             simulate(random_stable_model(0), 0, seed=0)
 
     def test_recursion_kernels_agree(self):
-        # the compiled kernel and the plain-numpy fallback implement the
-        # same recursion
-        from vardtf.estimate import _recurse, _recurse_numpy
+        # the counterexample's entries are sums of at most two nonzero
+        # products, so the blocked kernel reproduces the loop bit for bit
+        m = counterexample_model(0.7, -1.3)
+        for length, burn_in in itertools.product(LENGTHS, BURN_INS):
+            got = simulate(m, length, seed=3, burn_in=burn_in).samples
+            want = simulate_reference(m, length, 3, burn_in)
+            assert np.array_equal(got, want), (length, burn_in)
 
-        m = random_stable_model(2, dim=3, order=2)
-        rng = np.random.default_rng(0)
-        eps = rng.standard_normal((5000, 3))
-        coeffs = np.stack(m.coeffs)
-        assert_allclose(
-            _recurse(coeffs, eps, 2), _recurse_numpy(coeffs, eps, 2), atol=1e-12
-        )
+    @pytest.mark.parametrize("burn_in", BURN_INS)
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize(
+        "model",
+        [
+            dense_stable_model(4, dim=3, order=4),
+            random_stable_model(5, dim=12, order=4, radius=0.95),
+            random_stable_model(6, dim=2, order=1, radius=0.999),
+        ],
+        ids=["dense_d3_p4", "d12_p4_r0.95", "d2_p1_r0.999"],
+    )
+    def test_matches_reference_loop(self, model, length, burn_in):
+        got = simulate(model, length, seed=8, burn_in=burn_in).samples
+        want = simulate_reference(model, length, 8, burn_in)
+        assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_order_above_block_length(self):
+        # the state before a block then reaches back over more than one block
+        m = random_stable_model(7, dim=1, order=70, radius=0.9)
+        got = simulate(m, 300, seed=11, burn_in=700).samples
+        want = simulate_reference(m, 300, 11, 700)
+        assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_order_zero_is_the_innovations(self):
+        m = make_var([], np.array([[2.0, 0.6], [0.6, 1.0]]))
+        got = simulate(m, 65, seed=10, burn_in=0)
+        assert np.array_equal(got.samples, simulate_reference(m, 65, 10, 0))
 
     def test_convergence_rate_of_sample_autocov(self):
         # sampling error should shrink like 1/sqrt(T)
@@ -122,6 +153,20 @@ class TestFitVar:
         assert_allclose(
             fit.model.sigma, fit.residuals.T @ fit.residuals / dof, atol=1e-12
         )
+
+    def test_stderr_layout(self):
+        # stderr[u-1, j, k]^2 = Sigma[j, j] * (X'X)^-1 at the lag-u, channel-k column
+        traj = simulate(random_stable_model(19), 2000, seed=19)
+        fit = fit_var(traj, 2)
+        x = traj.samples
+        design = np.hstack([x[2 - u : len(x) - u] for u in (1, 2)])
+        g = np.diag(np.linalg.inv(design.T @ design))
+        s = fit.model.sigma
+        want = [
+            [[np.sqrt(s[j, j] * g[u * 3 + k]) for k in range(3)] for j in range(3)]
+            for u in range(2)
+        ]
+        assert_allclose(fit.stderr, want, rtol=1e-10)
 
     def test_recovery_frequency(self):
         # every coefficient within 3 standard errors, nearly always
@@ -209,7 +254,7 @@ class TestTrajectoryIo:
         back = read_trajectory(buf, seed=9)
         assert back.dim == traj.dim
         assert back.length == traj.length
-        assert_allclose(back.samples, traj.samples)
+        assert np.array_equal(back.samples, traj.samples)
 
     def test_header_validation(self):
         with pytest.raises(ShapeMismatch):
@@ -218,6 +263,28 @@ class TestTrajectoryIo:
     def test_ragged_row_rejected(self):
         with pytest.raises(ShapeMismatch):
             read_trajectory(io.StringIO("t,ch1,ch2\n0,1.0\n"))
+
+    def test_blank_lines_skipped(self):
+        back = read_trajectory(io.StringIO("t,ch1\n0,1.5\n\n  \n1,2.5\n\n"))
+        assert back.length == 2
+        assert np.array_equal(back.samples, [[1.5], [2.5]])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t\n0\n",
+            "t,ch1,ch2\n",
+            "t,ch1\n\n  \n",
+            "t,ch1,ch2\n0,1.0,2.0\n1,3.0\n",
+            "t,ch1\n0,1.0,2.0\n1,3.0,4.0\n",
+            "t,ch1\n0,abc\n",
+        ],
+        ids=["no_channels", "header_only", "only_blank_rows", "ragged",
+             "wider_than_header", "non_numeric"],
+    )
+    def test_malformed_rejected(self, text):
+        with pytest.raises(ShapeMismatch):
+            read_trajectory(io.StringIO(text))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ShapeMismatch):
