@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 Yule-Walker solve uses a dense stacked system instead of the order
-recursion, and the spectral oracle is a smoothed periodogram of simulated
-data.
+recursion, the spectral oracle is a smoothed periodogram of simulated
+data, and the CSV reference formats one row at a time with Python's ``%``.
 """
 
 import numpy as np
@@ -110,6 +110,18 @@ def block_toeplitz_reference(gammas, n):
             block = gammas[b - a] if b >= a else gammas[a - b].T
             out[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
     return out
+
+
+def write_csv_reference(fh, header, first, rest):
+    """``vardtf.jsonio.write_csv`` one row at a time with Python's ``%``.
+
+    Every cell is ``"%.17g" % x``; kept as the reference for the library's
+    vectorized formatter.
+    """
+    fh.write(",".join(header) + "\n")
+    fmt = ",".join(["%.17g"] * (1 + rest.shape[1])) + "\n"
+    for row in np.column_stack((first, rest)).tolist():
+        fh.write(fmt % tuple(row))
 
 
 def simulate_reference(model, length, seed, burn_in):
