@@ -45,6 +45,7 @@ from .model import (
 from .moments import AutocovSequence, autocov, block_toeplitz, subprocess_autocov
 from .reduction import (
     ReducedRepresentation,
+    error_autocov,
     error_spectral_matrix,
     is_white,
     kaminski_error_lag_crosscov,
@@ -87,6 +88,7 @@ __all__ = [
     "counterexample_model",
     "default_grid",
     "dtf",
+    "error_autocov",
     "error_spectral_matrix",
     "fit_var",
     "full_report",

@@ -16,28 +16,31 @@ multivariate causal link. Such pairs carry a contradiction flag. All
 verdicts are computed from the known model, never from data, because the
 question is about the measures themselves rather than estimation error.
 
-A report makes one autocovariance solve per model and one recursion pass
-per pair, and keeps each pair's representation (or the error that replaced
-it) on the verdict, so callers reuse it instead of marginalizing again.
+A report makes one transfer-function evaluation and one autocovariance
+solve per model and one recursion pass per pair. It keeps the transfer
+function, and each pair's representation (or the error that replaced it) on
+the verdict, so callers reuse them instead of computing them again.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import moments
+from . import moments, spectral
 from .exceptions import VardtfError
 from .marginal import (
     DEFAULT_Q_MAX,
     DEFAULT_TOL,
     MarginalAR,
+    check_settings,
     marginal_from_autocov,
     marginal_representation,
 )
 from .model import ChannelPair, VarModel
-from .spectral import FrequencyGrid, default_grid, dtf
+from .spectral import FrequencyGrid, FrequencyMatrix, default_grid, dtf_from_transfer
 
 #: Absolute threshold on normalized DTF below which a pair's DTF is "zero";
 #: structural zeros compute to machine epsilon, orders of magnitude lower.
@@ -77,10 +80,15 @@ class PairVerdict:
 
 @dataclass(frozen=True)
 class CausalityReport:
-    """Per-pair verdicts for every ordered channel pair, sorted by (target, source)."""
+    """Per-pair verdicts for every ordered channel pair, sorted by (target, source).
+
+    ``transfer`` is the transfer function the DTF verdicts were read from;
+    it is left out of comparisons.
+    """
 
     dim: int
     pairs: tuple
+    transfer: FrequencyMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def contradictions(self) -> tuple:
@@ -139,55 +147,54 @@ def full_report(
     every pair's representation is drawn from them. Per-pair numerical
     failures (e.g. a non-converged marginalization) are recorded in that
     pair's ``error`` field without aborting the remaining pairs; a failed
-    solve is every pair's failure.
+    solve is every pair's failure. Settings other than ``q_max >= 1`` and a
+    finite ``tol > 0`` raise ShapeMismatch before any pair runs.
     """
+    check_settings(q_max, tol)
     if grid is None:
         grid = default_grid()
-    dtf_vals = dtf(model, grid, normalized=True)
+    transfer = spectral.transfer_function(model, grid)
+    dtf_vals = dtf_from_transfer(transfer, normalized=True)
     try:
         acov, solve_failure = moments.autocov(model, maxlag=q_max), None
     except VardtfError as exc:
         acov, solve_failure = None, exc
     verdicts = []
-    for target in range(model.dim):
-        for source in range(model.dim):
-            if source == target:
-                continue
-            pair = ChannelPair(source=source, target=target)
-            max_dtf = float(np.max(dtf_vals[:, target, source]))
-            dtf_zero = max_dtf < DTF_ZERO_TOL
-            mv_flag, max_coeff = multivariate_gc(model, pair)
-            rep, failure = None, solve_failure
-            if failure is None:
-                try:
-                    rep = marginal_from_autocov(
-                        moments.subprocess_autocov(acov, pair), pair, q_max, tol
-                    )
-                except VardtfError as exc:
-                    failure = exc
-            if rep is None:
-                bi_flag, max_phi, error = None, None, str(failure)
-            else:
-                (bi_flag, max_phi), error = _gc_verdict(rep), None
-            contradiction = bool(
-                (dtf_zero and bi_flag is True)
-                or (not dtf_zero and not mv_flag)
-            )
-            verdicts.append(
-                PairVerdict(
-                    target=target,
-                    source=source,
-                    dtf_zero=dtf_zero,
-                    bivariate_gc=bi_flag,
-                    multivariate_gc=mv_flag,
-                    contradiction=contradiction,
-                    max_dtf=max_dtf,
-                    max_phi=max_phi,
-                    max_coeff=max_coeff,
-                    error=error,
-                    marginal=rep,
-                    failure=failure,
+    for target, source in itertools.permutations(range(model.dim), 2):
+        pair = ChannelPair(source=source, target=target)
+        max_dtf = float(np.max(dtf_vals[:, target, source]))
+        dtf_zero = max_dtf < DTF_ZERO_TOL
+        mv_flag, max_coeff = multivariate_gc(model, pair)
+        rep, failure = None, solve_failure
+        if failure is None:
+            try:
+                rep = marginal_from_autocov(
+                    moments.subprocess_autocov(acov, pair), pair, q_max, tol
                 )
+            except VardtfError as exc:
+                failure = exc
+        if rep is None:
+            bi_flag, max_phi, error = None, None, str(failure)
+        else:
+            (bi_flag, max_phi), error = _gc_verdict(rep), None
+        contradiction = bool(
+            (dtf_zero and bi_flag is True)
+            or (not dtf_zero and not mv_flag)
+        )
+        verdicts.append(
+            PairVerdict(
+                target=target,
+                source=source,
+                dtf_zero=dtf_zero,
+                bivariate_gc=bi_flag,
+                multivariate_gc=mv_flag,
+                contradiction=contradiction,
+                max_dtf=max_dtf,
+                max_phi=max_phi,
+                max_coeff=max_coeff,
+                error=error,
+                marginal=rep,
+                failure=failure,
             )
-    verdicts.sort(key=lambda v: (v.target, v.source))
-    return CausalityReport(dim=model.dim, pairs=tuple(verdicts))
+        )
+    return CausalityReport(dim=model.dim, pairs=tuple(verdicts), transfer=transfer)

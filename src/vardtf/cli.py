@@ -220,15 +220,16 @@ def cmd_counterexample(args) -> int:
     """Full demonstration run on the built-in trivariate model."""
     model, grid = args.model, args.grid
     pair = ChannelPair(target=0, source=1)
-    _write_csv(args.out / "transfer_function.csv", spectral.transfer_function(model, grid))
-    deficit, _ = _write_reduction(args, pair)
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
+    _write_csv(args.out / "transfer_function.csv", report.transfer)
+    deficit, _ = _write_reduction(args, pair)
     verdict = next(
         v for v in report.pairs if (v.target, v.source) == (pair.target, pair.source)
     )
     if verdict.failure is not None:
         raise verdict.failure
-    rep_deficit, doc = _marginal_doc(args, verdict.marginal)
+    density = spectral.density_from_transfer(report.transfer, model.sigma)
+    rep_deficit, doc = _marginal_doc(args, verdict.marginal, density)
     _write_text(args.out / "marginal.json", canonical_json(doc))
     _write_report(report, args.out)
 
@@ -245,9 +246,9 @@ def cmd_analyze(args) -> int:
     model, grid = args.model, args.grid
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
     _write_report(report, args.out)
-    density = spectral.spectral_density(model, grid)
+    density = spectral.density_from_transfer(report.transfer, model.sigma)
     _write_csv(args.out / "spectral_density.csv", density)
-    dtf_vals = spectral.dtf(model, grid, normalized=not args.raw)
+    dtf_vals = spectral.dtf_from_transfer(report.transfer, normalized=not args.raw)
     _write_csv(args.out / "dtf.csv", spectral.FrequencyMatrix(grid, dtf_vals.astype(complex)))
 
     marginals: dict = {}

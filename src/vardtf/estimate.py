@@ -58,14 +58,12 @@ class FitResult:
     """Least-squares VAR fit: model, per-coefficient standard errors, residuals.
 
     ``stderr[u-1, j, k]`` is the standard error of the lag-u coefficient of
-    channel k in channel j's equation. ``resid_acorr[l-1]`` is the lag-l
-    residual autocorrelation matrix.
+    channel k in channel j's equation.
     """
 
     model: VarModel
     stderr: np.ndarray
     residuals: np.ndarray
-    resid_acorr: np.ndarray
     nobs: int
 
 
@@ -168,7 +166,7 @@ def _lag_matrix(samples: np.ndarray, order: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def fit_var(traj: Trajectory, order: int, diag_lags: int = 12) -> FitResult:
+def fit_var(traj: Trajectory, order: int) -> FitResult:
     """Ordinary least squares fit of a VAR(order), one regression per equation.
 
     All equations share the lagged-regressor matrix, so a single
@@ -212,14 +210,8 @@ def fit_var(traj: Trajectory, order: int, diag_lags: int = 12) -> FitResult:
         sigma.diagonal()[None, :, None] * np.diag(gram_inv).reshape(order, 1, d)
     )
 
-    fitted = make_var(coeffs, sigma)
-    acorr = _lag_correlations(sample_autocov(residuals, min(diag_lags, nobs - 1)))
     return FitResult(
-        model=fitted,
-        stderr=stderr,
-        residuals=residuals,
-        resid_acorr=acorr,
-        nobs=nobs,
+        model=make_var(coeffs, sigma), stderr=stderr, residuals=residuals, nobs=nobs
     )
 
 

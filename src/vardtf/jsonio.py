@@ -48,19 +48,12 @@ def _format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
+#: JSON string escapes: the quote, the backslash and every control character.
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def _emit(obj, indent: int, pieces: list[str]) -> None:

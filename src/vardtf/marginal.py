@@ -213,6 +213,12 @@ def _order_schedule(q_max: int) -> list:
     return qs
 
 
+def check_settings(q_max: int, tol: float) -> None:
+    """Reject an order cap below 1 and a tolerance that is not finite and positive."""
+    if q_max < 1 or not (np.isfinite(tol) and tol > 0.0):
+        raise ShapeMismatch(f"need q_max >= 1 and a finite tol > 0, got {q_max} and {tol:g}")
+
+
 def marginal_from_autocov(
     seq: AutocovSequence,
     pair: ChannelPair,
@@ -230,7 +236,10 @@ def marginal_from_autocov(
     ------
     NotConverged
         As ``marginal_representation``.
+    ShapeMismatch
+        If ``q_max < 1`` or ``tol`` is not a finite positive number.
     """
+    check_settings(q_max, tol)
     schedule = _order_schedule(q_max)
     checks = iter(schedule)
     check = next(checks)
@@ -270,6 +279,7 @@ def marginal_representation(
         representation (``best``) and per-order diagnostics.
     """
     pair.check_dim(model.dim)
+    check_settings(q_max, tol)
     seq = subprocess_autocov(autocov(model, maxlag=q_max), pair)
     return marginal_from_autocov(seq, pair, q_max, tol)
 
@@ -290,11 +300,14 @@ def innovation_whiteness_check(
     V / 2 pi and the deficit is numerically zero; a truncated or otherwise
     invalid representation leaves frequency structure behind and scores a
     large deficit. ``density`` is the model's spectral density on ``grid``
-    when the caller already has it.
+    when the caller already has it; one sampled on other frequencies, like a
+    representation of another pair, raises ShapeMismatch.
     """
     if rep.pair is not None and rep.pair != pair:
         raise ShapeMismatch("representation was computed for a different pair")
     pair.check_dim(model.dim)
+    if density is not None and not np.array_equal(density.grid.points, grid.points):
+        raise ShapeMismatch("density is sampled on a different grid")
     channels = pair.channels
     full = spectral_density(model, grid) if density is None else density
     f_s = full.values[np.ix_(range(len(grid)), channels, channels)]

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .exceptions import DimensionTooSmall, ShapeMismatch
-from .model import ChannelPair, VarModel
+from .model import ChannelPair, VarModel, counterexample_model
+from .moments import AutocovSequence
 from .spectral import FrequencyGrid, FrequencyMatrix, char_polynomial, invert_pointwise
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
@@ -45,9 +47,7 @@ class ReducedRepresentation:
     error_spectrum: FrequencyMatrix
 
     def __post_init__(self):
-        if self.reduced_poly.grid is not self.error_spectrum.grid and not np.array_equal(
-            self.reduced_poly.grid.points, self.error_spectrum.grid.points
-        ):
+        if not np.array_equal(self.reduced_poly.grid.points, self.error_spectrum.grid.points):
             raise ShapeMismatch("polynomial and error spectrum use different grids")
         herm = self.error_spectrum.values - self.error_spectrum.values.conj().transpose(
             0, 2, 1
@@ -74,15 +74,12 @@ def partition_blocks(charpoly: FrequencyMatrix, pair: ChannelPair) -> tuple:
     pair's channels (target first) and R the remaining channels in ascending
     order.
     """
-    dim = charpoly.dim
-    retained, removed = _split_indices(dim, pair)
+    s, r = _split_indices(charpoly.dim, pair)
     vals = charpoly.values
-    grid = charpoly.grid
-    a_ss = FrequencyMatrix(grid, vals[np.ix_(range(len(grid)), retained, retained)])
-    a_sr = FrequencyMatrix(grid, vals[np.ix_(range(len(grid)), retained, removed)])
-    a_rs = FrequencyMatrix(grid, vals[np.ix_(range(len(grid)), removed, retained)])
-    a_rr = FrequencyMatrix(grid, vals[np.ix_(range(len(grid)), removed, removed)])
-    return a_ss, a_sr, a_rs, a_rr
+    return tuple(
+        FrequencyMatrix(charpoly.grid, vals[:, rows][:, :, cols])
+        for rows, cols in ((s, s), (s, r), (r, s), (r, r))
+    )
 
 
 def reduced_polynomial(
@@ -167,17 +164,25 @@ def is_white(spectrum: FrequencyMatrix, rel_tol: float = WHITE_REL_TOL) -> bool:
     return whiteness_deficit(spectrum) / scale <= rel_tol
 
 
-def _lagged_ma_crosscov(taps_a: dict, taps_b: dict, lag: int, sigma: np.ndarray) -> float:
-    """E[a(t) b(t-lag)] for scalar moving averages a, b of one white process.
+def error_autocov(model: VarModel, pair: ChannelPair, maxlag: int) -> AutocovSequence:
+    """Autocovariances E[e'(t) e'(t-h)'], h = 0..maxlag, of the reduction error.
 
-    ``taps_a[u]`` is the weight vector applied to e(t-u).
+    Each is a Fourier coefficient int f(lambda) exp(i h lambda) dlambda of
+    the error spectrum, taken by inverse real FFT on N + 1 points of [0, pi],
+    N = maxlag + p + 1. When the removed block has no lags (A(u)[R, R] = 0),
+    A_RR = I and e' is a moving average of order p, so the FFT's period 2N
+    aliases no lag onto another and the result is exact up to rounding.
+    Other models raise ShapeMismatch, as does a negative ``maxlag``.
     """
-    total = 0.0
-    for u, wa in taps_a.items():
-        wb = taps_b.get(u - lag)
-        if wb is not None:
-            total += float(wa @ sigma @ wb)
-    return total
+    _, removed = _split_indices(model.dim, pair)
+    if maxlag < 0:
+        raise ShapeMismatch("maxlag must be non-negative")
+    if any(np.any(a[np.ix_(removed, removed)] != 0.0) for a in model.coeffs):
+        raise ShapeMismatch("removed channels lag among themselves: not a finite moving average")
+    n = maxlag + model.order + 1
+    spectrum = reduce_pair(model, pair, spectral.default_grid(n + 1)).error_spectrum.values
+    gammas = 2.0 * np.pi * np.fft.irfft(spectrum, n=2 * n, axis=0)[: maxlag + 1]
+    return AutocovSequence(dim=2, maxlag=maxlag, gammas=gammas)
 
 
 def kaminski_error_lag_crosscov(model: VarModel) -> float:
@@ -194,30 +199,11 @@ def kaminski_error_lag_crosscov(model: VarModel) -> float:
     lag, so any nonzero value disqualifies the reduction as an
     autoregressive representation.
 
-    Only counterexample-shaped models are accepted (d=3, the two known
-    couplings, identity innovation covariance).
+    Only counterexample models are accepted: d=3, p=2, the two known
+    couplings and identity innovation covariance.
     """
-    alpha, beta = _counterexample_params(model)
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    taps_1 = {0: e1, 2: alpha * e3}
-    taps_2 = {0: e2, 1: beta * e3}
-    return _lagged_ma_crosscov(taps_1, taps_2, 1, model.sigma)
-
-
-def _counterexample_params(model: VarModel) -> tuple:
-    if model.dim != 3 or model.order != 2:
-        raise ShapeMismatch("expected the trivariate lag-2 counterexample model")
-    a1, a2 = model.coeffs
-    beta = a1[1, 2]
-    alpha = a2[0, 2]
-    mask1 = np.zeros((3, 3), dtype=bool)
-    mask1[1, 2] = True
-    mask2 = np.zeros((3, 3), dtype=bool)
-    mask2[0, 2] = True
-    if np.any(a1[~mask1] != 0.0) or np.any(a2[~mask2] != 0.0):
-        raise ShapeMismatch("model has couplings beyond the counterexample's")
-    if not np.array_equal(model.sigma, np.eye(3)):
-        raise ShapeMismatch("counterexample requires identity innovation covariance")
-    return float(alpha), float(beta)
+    if (model.dim, model.order) != (3, 2) or model.to_dict() != counterexample_model(
+        model.coeffs[1][0, 2], model.coeffs[0][1, 2]
+    ).to_dict():
+        raise ShapeMismatch("expected the counterexample model, with nothing else coupled")
+    return float(error_autocov(model, ChannelPair(target=0, source=1), 1).gammas[1, 0, 1])

@@ -163,11 +163,15 @@ def spectral_density(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     semi-definite up to rounding. For a white-noise model this is the
     constant Sigma / (2 pi).
     """
-    h = transfer_function(model, grid)
+    return density_from_transfer(transfer_function(model, grid), model.sigma)
+
+
+def density_from_transfer(h: FrequencyMatrix, sigma: np.ndarray) -> FrequencyMatrix:
+    """Spectral density of an already-computed transfer function."""
     hv = h.values
-    f = hv @ model.sigma @ hv.conj().transpose(0, 2, 1)
+    f = hv @ sigma @ hv.conj().transpose(0, 2, 1)
     f = 0.5 * (f + f.conj().transpose(0, 2, 1)) / (2.0 * np.pi)
-    return FrequencyMatrix(grid=grid, values=f)
+    return FrequencyMatrix(grid=h.grid, values=f)
 
 
 def dtf(model: VarModel, grid: FrequencyGrid, normalized: bool = True) -> np.ndarray:

@@ -11,14 +11,18 @@ import numpy as np
 from vardtf import make_var
 
 
-def random_stable_model(seed, dim=3, order=2, radius=0.6, sigma="random"):
+def random_stable_model(seed, dim=3, order=2, radius=0.6, sigma="random", lagless=()):
     """Random VAR with companion spectral radius rescaled to ``radius``.
 
     Rescaling lag u by s**u multiplies every companion eigenvalue by s, so
-    the target radius is hit exactly.
+    the target radius is hit exactly. The channels in ``lagless`` get no
+    lagged terms among themselves: A(u)[lagless, lagless] = 0 at every lag.
     """
     rng = np.random.default_rng(seed)
     coeffs = [rng.normal(scale=0.4, size=(dim, dim)) for _ in range(order)]
+    block = np.ix_(list(lagless), list(lagless))
+    for a in coeffs:
+        a[block] = 0.0
     rho = _companion_radius(coeffs, dim)
     if rho > 0:
         scale = radius / rho

@@ -10,6 +10,7 @@ from vardtf import (
     marginal_representation,
     moments,
     read_model,
+    spectral,
     write_model,
 )
 from vardtf.cli import main
@@ -336,3 +337,35 @@ class TestOtherCommands:
     def test_missing_model_args(self, capsys):
         assert run("granger") == 2
         assert capsys.readouterr().err.startswith("error[usage]")
+
+
+@pytest.mark.parametrize("command", ["counterexample", "analyze"])
+def test_one_transfer_function_per_command(command, tmp_path, monkeypatch):
+    # the report's H feeds the DTF, the density and transfer_function.csv
+    calls = []
+    evaluate = spectral.transfer_function
+
+    def counting(model, grid):
+        calls.append(len(grid))
+        return evaluate(model, grid)
+
+    monkeypatch.setattr(spectral, "transfer_function", counting)
+    argv = ("--alpha", 1, "--beta", 1, "--grid", 65, "--out", tmp_path / "out")
+    assert run(command, *argv) == 0
+    assert calls == [65]
+
+
+@pytest.mark.parametrize("command", ["granger", "analyze", "counterexample"])
+@pytest.mark.parametrize(
+    "flags",
+    [("--qmax", 0), ("--qmax", -1), ("--tol", -1), ("--tol", 0), ("--tol", "nan")],
+)
+def test_invalid_marginal_settings_are_usage_errors(command, flags, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ("--json",) if command == "granger" else ("--out", out)
+    assert run(command, "--alpha", 1, "--beta", 1, *flags, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error[usage]")
+    if command != "granger":
+        assert list(out.iterdir()) == []

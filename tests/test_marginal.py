@@ -15,6 +15,7 @@ from vardtf import (
     make_var,
     marginal_representation,
     simulate,
+    spectral_density,
     subprocess_autocov,
     whittle_recursion,
 )
@@ -25,7 +26,7 @@ from vardtf.exceptions import (
     ShapeMismatch,
     SingularToeplitz,
 )
-from vardtf.marginal import _order_schedule
+from vardtf.marginal import _order_schedule, marginal_from_autocov
 from vardtf.moments import AutocovSequence
 from vardtf.spectral import lag_polynomial
 
@@ -261,6 +262,14 @@ class TestSinglePass:
         with pytest.raises(ShapeMismatch):
             marginal_representation(counterexample_model(1.0, 1.0), PAIR12, q_max=0)
 
+    @pytest.mark.parametrize(
+        "q_max,tol", [(0, 1e-8), (-1, 1e-8), (8, 0.0), (8, -1.0), (8, np.nan), (8, np.inf)]
+    )
+    def test_invalid_settings_rejected(self, q_max, tol):
+        seq = subprocess_autocov(autocov(counterexample_model(1.0, 1.0), maxlag=8), PAIR12)
+        with pytest.raises(ShapeMismatch):
+            marginal_from_autocov(seq, PAIR12, q_max=q_max, tol=tol)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -311,6 +320,21 @@ class TestInnovationWhiteness:
                 m, ChannelPair(target=0, source=2), rep, default_grid(9)
             )
 
+    def test_density_on_another_grid_rejected(self):
+        # a density on a finer grid must not be read row by row as if it
+        # were sampled on the check's grid
+        m = counterexample_model(1.0, 1.0)
+        rep = marginal_representation(m, PAIR12)
+        grid = default_grid(33)
+        density = spectral_density(m, grid)
+        assert innovation_whiteness_check(m, PAIR12, rep, grid, density) == (
+            innovation_whiteness_check(m, PAIR12, rep, grid)
+        )
+        with pytest.raises(ShapeMismatch):
+            innovation_whiteness_check(
+                m, PAIR12, rep, grid, spectral_density(m, default_grid(257))
+            )
+
     def test_differs_from_reduction_error_spectrum(self):
         # when the reduction's error spectrum is far from white, the true
         # residual spectrum cannot agree with it
@@ -318,8 +342,6 @@ class TestInnovationWhiteness:
         grid = default_grid()
         rep = marginal_representation(m, PAIR12)
         phi = lag_polynomial(rep.phis, grid).values
-        from vardtf import spectral_density
-
         full = spectral_density(m, grid).values
         f_s = full[np.ix_(range(len(grid)), [0, 1], [0, 1])]
         marginal_spectrum = phi @ f_s @ phi.conj().transpose(0, 2, 1)
