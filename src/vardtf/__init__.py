@@ -49,7 +49,6 @@ from .reduction import (
     error_spectral_matrix,
     is_white,
     kaminski_error_lag_crosscov,
-    partition_blocks,
     reduce_pair,
     reduced_polynomial,
     whiteness_deficit,
@@ -98,7 +97,6 @@ __all__ = [
     "make_var",
     "marginal_representation",
     "multivariate_gc",
-    "partition_blocks",
     "read_model",
     "reduce_pair",
     "reduced_polynomial",

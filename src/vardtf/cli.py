@@ -172,9 +172,9 @@ def _write_report(report: causality.CausalityReport, outdir: Path) -> None:
     _write_text(outdir / "report.json", canonical_json(_report_dict(report)))
 
 
-def _write_reduction(args, pair: ChannelPair) -> tuple:
+def _write_reduction(args, pair: ChannelPair, transfer: spectral.FrequencyMatrix) -> tuple:
     """Reduce a pair, write its spectra and reduction.json; returns (deficit, is_white)."""
-    red = reduction.reduce_pair(args.model, pair, args.grid)
+    red = reduction.reduce_pair(args.model, pair, transfer)
     _write_csv(args.out / "reduced_polynomial.csv", red.reduced_poly)
     _write_csv(args.out / "error_spectrum.csv", red.error_spectrum)
     deficit = reduction.whiteness_deficit(red.error_spectrum)
@@ -188,10 +188,10 @@ def _write_reduction(args, pair: ChannelPair) -> tuple:
     return deficit, white
 
 
-def _marginal_doc(args, rep, density=None) -> tuple:
+def _marginal_doc(args, rep, transfer: spectral.FrequencyMatrix) -> tuple:
     """A pair's representation as JSON; returns (residual deficit, document)."""
     pair = rep.pair
-    deficit = marginal.innovation_whiteness_check(args.model, pair, rep, args.grid, density)
+    deficit = marginal.innovation_whiteness_check(args.model, pair, rep, transfer)
     doc = {
         "order_used": rep.order_used,
         "phis": rep.phis.tolist(),
@@ -222,14 +222,13 @@ def cmd_counterexample(args) -> int:
     pair = ChannelPair(target=0, source=1)
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
     _write_csv(args.out / "transfer_function.csv", report.transfer)
-    deficit, _ = _write_reduction(args, pair)
+    deficit, _ = _write_reduction(args, pair, report.transfer)
     verdict = next(
         v for v in report.pairs if (v.target, v.source) == (pair.target, pair.source)
     )
     if verdict.failure is not None:
         raise verdict.failure
-    density = spectral.density_from_transfer(report.transfer, model.sigma)
-    rep_deficit, doc = _marginal_doc(args, verdict.marginal, density)
+    rep_deficit, doc = _marginal_doc(args, verdict.marginal, report.transfer)
     _write_text(args.out / "marginal.json", canonical_json(doc))
     _write_report(report, args.out)
 
@@ -256,7 +255,7 @@ def cmd_analyze(args) -> int:
         if v.marginal is None:
             marginals[_pair_label(v)] = _failure_doc(v.failure)
         else:
-            marginals[_pair_label(v)] = _marginal_doc(args, v.marginal, density)[1]
+            marginals[_pair_label(v)] = _marginal_doc(args, v.marginal, report.transfer)[1]
     # the grid arrays are not needed for the largest document; free them first
     del density, dtf_vals
     _write_text(args.out / "marginals.json", canonical_json(marginals))
@@ -275,14 +274,15 @@ def cmd_dtf(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    deficit, white = _write_reduction(args, args.pair)
+    transfer = spectral.transfer_function(args.model, args.grid)
+    deficit, white = _write_reduction(args, args.pair, transfer)
     print(f"whiteness_deficit={deficit:.6g} is_white={white}")
     return 0
 
 
 def cmd_marginalize(args) -> int:
     rep = marginal.marginal_representation(args.model, args.pair, q_max=args.qmax, tol=args.tol)
-    deficit, doc = _marginal_doc(args, rep)
+    deficit, doc = _marginal_doc(args, rep, spectral.transfer_function(args.model, args.grid))
     if args.out is not None:
         _write_text(args.out / "marginal.json", canonical_json(doc))
     print(f"pair {args.pair.target + 1}<-{args.pair.source + 1}")

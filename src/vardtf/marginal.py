@@ -31,7 +31,7 @@ from .exceptions import (
 from .model import ChannelPair, VarModel
 from .moments import AutocovSequence, autocov, block_toeplitz, subprocess_autocov
 from .reduction import whiteness_deficit
-from .spectral import FrequencyGrid, FrequencyMatrix, lag_polynomial, spectral_density
+from .spectral import FrequencyMatrix, density_from_transfer, lag_polynomial
 
 #: Eigenvalue floor below which an innovation covariance is declared broken.
 INNOV_PSD_FLOOR = -1e-8
@@ -288,30 +288,22 @@ def innovation_whiteness_check(
     model: VarModel,
     pair: ChannelPair,
     rep: MarginalAR,
-    grid: FrequencyGrid,
-    density: FrequencyMatrix | None = None,
+    transfer: FrequencyMatrix,
 ) -> float:
     """Whiteness deficit of the residual spectrum implied by a representation.
 
-    Filters the pair's exact spectral density by the representation's
-    coefficient polynomial Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda),
-    giving Phi(lambda) f_S(lambda) Phi(lambda)*. If the
-    representation is the true projection, the result is the constant
-    V / 2 pi and the deficit is numerically zero; a truncated or otherwise
-    invalid representation leaves frequency structure behind and scores a
-    large deficit. ``density`` is the model's spectral density on ``grid``
-    when the caller already has it; one sampled on other frequencies, like a
-    representation of another pair, raises ShapeMismatch.
+    Filters the pair's rows H_S. of the model's transfer function by the
+    representation's coefficient polynomial
+    Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda): the residual is
+    Phi H_S. E, whose spectrum is the density of Phi H_S. on the grid of
+    ``transfer``. If the representation is the true projection, that is
+    the constant V / 2 pi and the deficit is numerically zero; a truncated
+    or otherwise invalid representation leaves frequency structure behind
+    and scores a large deficit.
     """
     if rep.pair is not None and rep.pair != pair:
         raise ShapeMismatch("representation was computed for a different pair")
     pair.check_dim(model.dim)
-    if density is not None and not np.array_equal(density.grid.points, grid.points):
-        raise ShapeMismatch("density is sampled on a different grid")
-    channels = pair.channels
-    full = spectral_density(model, grid) if density is None else density
-    f_s = full.values[np.ix_(range(len(grid)), channels, channels)]
-    phi = lag_polynomial(rep.phis, grid).values
-    resid = phi @ f_s @ phi.conj().transpose(0, 2, 1)
-    resid = 0.5 * (resid + resid.conj().transpose(0, 2, 1))
-    return whiteness_deficit(FrequencyMatrix(grid=grid, values=resid))
+    phi = lag_polynomial(rep.phis, transfer.grid).values
+    filtered = FrequencyMatrix(transfer.grid, phi @ transfer.values[:, list(pair.channels)])
+    return whiteness_deficit(density_from_transfer(filtered, model.sigma))

@@ -9,6 +9,9 @@ acting on the retained channels S, driven by the error process
 
     E'(lambda) = E_S(lambda) - A_SR(lambda) A_RR(lambda)^-1 E_R(lambda).
 
+Both are read off the transfer function H = A^-1: G is the Schur
+complement of A_RR, so G = H_SS^-1, and E' = G X_S = G H_S. E.
+
 E' is generally NOT white: its spectral matrix depends on frequency, so G is
 not a valid autoregressive representation of the subprocess and causal
 conclusions drawn from it are unfounded. The whiteness deficit below
@@ -26,7 +29,7 @@ from . import spectral
 from .exceptions import DimensionTooSmall, ShapeMismatch
 from .model import ChannelPair, VarModel, counterexample_model
 from .moments import AutocovSequence
-from .spectral import FrequencyGrid, FrequencyMatrix, char_polynomial, invert_pointwise
+from .spectral import FrequencyGrid, FrequencyMatrix, invert_pointwise
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
 WHITE_REL_TOL = 0.01
@@ -67,21 +70,6 @@ def _split_indices(dim: int, pair: ChannelPair) -> tuple:
     return retained, removed
 
 
-def partition_blocks(charpoly: FrequencyMatrix, pair: ChannelPair) -> tuple:
-    """Split A(lambda) into the S/R blocks used by the reduction.
-
-    Returns (A_SS, A_SR, A_RS, A_RR) as FrequencyMatrix objects, with S the
-    pair's channels (target first) and R the remaining channels in ascending
-    order.
-    """
-    s, r = _split_indices(charpoly.dim, pair)
-    vals = charpoly.values
-    return tuple(
-        FrequencyMatrix(charpoly.grid, vals[:, rows][:, :, cols])
-        for rows, cols in ((s, s), (s, r), (r, s), (r, r))
-    )
-
-
 def reduced_polynomial(
     model: VarModel, pair: ChannelPair, grid: FrequencyGrid
 ) -> FrequencyMatrix:
@@ -90,11 +78,12 @@ def reduced_polynomial(
     Raises
     ------
     SingularAtFrequency
-        If the marginalized block A_RR(lambda) cannot be inverted.
+        If the marginalized block A_RR(lambda) is singular, so that G is
+        not defined there, or if A(lambda) itself cannot be inverted.
     DimensionTooSmall
         If the model has no channels beyond the pair.
     """
-    return reduce_pair(model, pair, grid).reduced_poly
+    return reduce_pair(model, pair, spectral.transfer_function(model, grid)).reduced_poly
 
 
 def error_spectral_matrix(
@@ -111,33 +100,36 @@ def error_spectral_matrix(
     this is the constant Sigma_SS / 2 pi, i.e. e' is white; otherwise it
     generally varies with frequency.
     """
-    return reduce_pair(model, pair, grid).error_spectrum
+    return reduce_pair(model, pair, spectral.transfer_function(model, grid)).error_spectrum
 
 
 def reduce_pair(
-    model: VarModel, pair: ChannelPair, grid: FrequencyGrid
+    model: VarModel, pair: ChannelPair, transfer: FrequencyMatrix
 ) -> ReducedRepresentation:
-    """Reduced polynomial and error spectrum for a pair, from one A_RR inversion."""
-    retained, removed = _split_indices(model.dim, pair)
-    a_ss, a_sr, a_rs, a_rr = partition_blocks(char_polynomial(model, grid), pair)
-    rr_inv = invert_pointwise(a_rr, "marginalized block A_RR").values
-    coupling = a_sr.values @ rr_inv
-    sigma = model.sigma
-    sig_ss = sigma[np.ix_(retained, retained)]
-    sig_rs = sigma[np.ix_(removed, retained)]
-    sig_rr = sigma[np.ix_(removed, removed)]
-    cross = coupling @ sig_rs
-    f = (
-        sig_ss
-        - cross
-        - cross.conj().transpose(0, 2, 1)
-        + coupling @ sig_rr @ coupling.conj().transpose(0, 2, 1)
+    """Reduced polynomial and error spectrum for a pair, from the model's H.
+
+    ``transfer`` is the model's transfer function H(lambda) on the grid of
+    the result. The retained rows satisfy X_S = H_S. E, and the Schur
+    complement G is the inverse of the 2x2 block H_SS, so the error is
+    E' = G X_S = G H_S. E, whose spectrum is the density of G H_S. .
+
+    Raises
+    ------
+    SingularAtFrequency
+        Where H_SS is singular, i.e. where A_RR(lambda) is.
+    """
+    retained, _ = _split_indices(model.dim, pair)
+    rows = transfer.values[:, retained]
+    g = invert_pointwise(
+        FrequencyMatrix(transfer.grid, rows[:, :, retained]),
+        "transfer-function block H_SS; the removed block A_RR is singular",
     )
-    f = 0.5 * (f + f.conj().transpose(0, 2, 1)) / (2.0 * np.pi)
     return ReducedRepresentation(
         pair=pair,
-        reduced_poly=FrequencyMatrix(grid, a_ss.values - coupling @ a_rs.values),
-        error_spectrum=FrequencyMatrix(grid, f),
+        reduced_poly=g,
+        error_spectrum=spectral.density_from_transfer(
+            FrequencyMatrix(transfer.grid, g.values @ rows), model.sigma
+        ),
     )
 
 
@@ -180,7 +172,7 @@ def error_autocov(model: VarModel, pair: ChannelPair, maxlag: int) -> AutocovSeq
     if any(np.any(a[np.ix_(removed, removed)] != 0.0) for a in model.coeffs):
         raise ShapeMismatch("removed channels lag among themselves: not a finite moving average")
     n = maxlag + model.order + 1
-    spectrum = reduce_pair(model, pair, spectral.default_grid(n + 1)).error_spectrum.values
+    spectrum = error_spectral_matrix(model, pair, spectral.default_grid(n + 1)).values
     gammas = 2.0 * np.pi * np.fft.irfft(spectrum, n=2 * n, axis=0)[: maxlag + 1]
     return AutocovSequence(dim=2, maxlag=maxlag, gammas=gammas)
 

@@ -29,6 +29,10 @@ DEFAULT_GRID_COUNT = 257
 #: is reported as singular.
 INVERSION_RESIDUAL_TOL = 1e-10
 
+#: Grid points per block of the inversion residual check, so that its
+#: temporaries stay small next to the matrices themselves.
+RESIDUAL_CHUNK = 512
+
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
@@ -146,13 +150,15 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
                 inv[m] = np.linalg.inv(values[m])
             except np.linalg.LinAlgError:
                 raise SingularAtFrequency(fm.grid.points[m], detail) from None
-    residual = np.linalg.norm(inv @ values - eye, axis=(1, 2))
-    bad = np.nonzero(residual >= INVERSION_RESIDUAL_TOL)[0]
-    if bad.size:
-        raise SingularAtFrequency(
-            fm.grid.points[bad[0]],
-            detail or f"inversion residual {residual[bad[0]]:.3g}",
-        )
+    for start in range(0, n, RESIDUAL_CHUNK):
+        block = slice(start, start + RESIDUAL_CHUNK)
+        residual = np.linalg.norm(inv[block] @ values[block] - eye, axis=(1, 2))
+        bad = np.nonzero(residual >= INVERSION_RESIDUAL_TOL)[0]
+        if bad.size:
+            raise SingularAtFrequency(
+                fm.grid.points[start + bad[0]],
+                detail or f"inversion residual {residual[bad[0]]:.3g}",
+            )
     return FrequencyMatrix(grid=fm.grid, values=inv)
 
 

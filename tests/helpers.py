@@ -2,13 +2,16 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 Yule-Walker solve uses a dense stacked system instead of the order
-recursion, the spectral oracle is a smoothed periodogram of simulated
-data, and the CSV reference formats one row at a time with Python's ``%``.
+recursion, the reduction is block substitution on A(lambda) instead of
+the inverse of a block of H(lambda), the spectral oracle is a smoothed
+periodogram of simulated data, and the CSV reference formats one row at
+a time with Python's ``%``.
 """
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
-from vardtf import make_var
+from vardtf import companion_matrix, make_var
 
 
 def random_stable_model(seed, dim=3, order=2, radius=0.6, sigma="random", lagless=()):
@@ -33,6 +36,18 @@ def random_stable_model(seed, dim=3, order=2, radius=0.6, sigma="random", lagles
         w = rng.normal(size=(dim, 2 * dim)) / np.sqrt(2 * dim)
         sig = w @ w.T + 0.1 * np.eye(dim)
     return make_var(coeffs, sig)
+
+
+def singular_removed_block_model():
+    """Stable d=3 model (radius about 0.707) with A_RR(0) = 0 for pair (1, 2).
+
+    A(1)[2, 2] = 1 makes A_RR(lambda) = 1 - exp(-i lambda), which vanishes
+    at lambda = 0 only; A(1)[0, 2] = 1 and A(1)[2, 0] = -0.5 keep the
+    companion radius at 1/sqrt(2).
+    """
+    a = np.zeros((3, 3))
+    a[0, 2], a[2, 0], a[2, 2] = 1.0, -0.5, 1.0
+    return make_var([a], np.eye(3))
 
 
 def dense_stable_model(seed, dim=3, order=2, radius=0.6):
@@ -99,6 +114,65 @@ def direct_yule_walker(gammas, q):
     for u in range(1, q + 1):
         v -= phis[u - 1] @ gamma(u).T
     return phis, 0.5 * (v + v.T)
+
+
+def block_substitution_reference(model, pair, lams):
+    """Reduced polynomial G and error spectrum f of a pair, by block substitution.
+
+    A(lambda) = I - sum_u A(u) exp(-i u lambda) is summed lag by lag; with
+    S the pair's channels, R the others and M = A_SR A_RR^-1,
+
+        G = A_SS - M A_RS,
+        2 pi f = Sigma_SS - M Sigma_RS - (M Sigma_RS)* + M Sigma_RR M*.
+
+    Kept as the reference for the library's reduction, which reads both off
+    the transfer function instead. Returns (G, f) as (points, 2, 2) arrays.
+    """
+    s = list(pair.channels)
+    r = [ch for ch in range(model.dim) if ch not in s]
+    a = np.broadcast_to(np.eye(model.dim, dtype=complex), (lams.size, model.dim, model.dim))
+    for u, coeff in enumerate(model.coeffs, start=1):
+        a = a - coeff * np.exp(-1j * u * lams)[:, None, None]
+
+    def block(rows, cols):
+        return a[:, rows][:, :, cols]
+
+    # M' = A_RR^-T A_SR' solves M A_RR = A_SR
+    m = np.linalg.solve(
+        block(r, r).transpose(0, 2, 1), block(s, r).transpose(0, 2, 1)
+    ).transpose(0, 2, 1)
+    sig = model.sigma
+    cross = m @ sig[np.ix_(r, s)]
+    f = (
+        sig[np.ix_(s, s)]
+        - cross
+        - cross.conj().transpose(0, 2, 1)
+        + m @ sig[np.ix_(r, r)] @ m.conj().transpose(0, 2, 1)
+    )
+    return block(s, s) - m @ block(r, s), f / (2.0 * np.pi)
+
+
+def riccati_innovation_cov(model, pair):
+    """Innovation covariance of a channel pair from a discrete Riccati equation.
+
+    The state z(t) = [x(t-1); ..; x(t-p)] follows z(t+1) = F z(t) + G e(t)
+    with F the companion matrix and G = [I; 0], and the pair is observed as
+    y(t) = C z(t+1) = C F z(t) + C G e(t), C selecting its channels. With
+    Q = G Sigma G', R = C Q C' and S = Q C', the Kalman filter's predicted
+    state covariance P solves the DARE and V = (C F) P (C F)' + R, with no
+    truncation of the pair's infinite-order representation.
+    """
+    d, p = model.dim, model.order
+    f = companion_matrix(model)
+    g = np.zeros((d * p, d))
+    g[:d] = np.eye(d)
+    c = np.zeros((2, d * p))
+    c[[0, 1], list(pair.channels)] = 1.0
+    h = c @ f
+    q = g @ model.sigma @ g.T
+    r = c @ q @ c.T
+    state_cov = solve_discrete_are(f.T, h.T, q, r, s=q @ c.T)
+    return h @ state_cov @ h.T + r
 
 
 def block_toeplitz_reference(gammas, n):

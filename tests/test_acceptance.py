@@ -24,6 +24,7 @@ from vardtf import (
     sample_autocov,
     simulate,
     spectral_density,
+    transfer_function,
     whiteness_deficit,
 )
 from vardtf.estimate import Trajectory
@@ -105,7 +106,9 @@ def test_criterion_4_reduction_non_whiteness():
     grid = default_grid(257)
     deficit = whiteness_deficit(error_spectral_matrix(model, PAIR12, grid))
     rep = marginal_representation(model, PAIR12)
-    marginal_deficit = innovation_whiteness_check(model, PAIR12, rep, grid)
+    marginal_deficit = innovation_whiteness_check(
+        model, PAIR12, rep, transfer_function(model, grid)
+    )
     check(
         4,
         f"reduction error deficit {deficit:.4g} > 1.0 while marginal "

@@ -16,6 +16,7 @@ from vardtf import (
     transfer_function,
 )
 from vardtf import moments
+from vardtf.causality import GC_REL_THRESHOLD
 from vardtf.exceptions import NoConvergence, NotConverged, ShapeMismatch, SingularToeplitz
 from vardtf.spectral import dtf_from_transfer
 
@@ -117,6 +118,19 @@ class TestFullReport:
         assert v.bivariate_gc
         assert not v.multivariate_gc
         assert v.max_phi == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("coupling,flagged", [(3e-3, True), (1e-3, False)])
+    def test_weak_coupling_threshold(self, coupling, flagged):
+        # with alpha = beta = c the true coefficient phi(1)[1,2] is
+        # c^2 / (1 + c^2), structurally nonzero; it is flagged only above
+        # GC_REL_THRESHOLD * sqrt(||V||_F), about 1.19e-6 here
+        v = _verdict(full_report(counterexample_model(coupling, coupling)), 0, 1)
+        assert v.max_phi == pytest.approx(coupling**2 / (1 + coupling**2), rel=1e-6)
+        threshold = GC_REL_THRESHOLD * np.sqrt(np.linalg.norm(v.marginal.innov_cov, "fro"))
+        assert threshold == pytest.approx(1.19e-6, rel=1e-2)
+        assert v.dtf_zero and not v.multivariate_gc
+        assert v.bivariate_gc is flagged
+        assert v.contradiction is flagged
 
     def test_counterexample_all_pairs(self):
         report = full_report(counterexample_model(1.0, 1.0))

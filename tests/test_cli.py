@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from vardtf.cli import main
 from vardtf.exceptions import NoConvergence, NotConverged
 from vardtf.jsonio import canonical_json
 
-from helpers import random_stable_model
+from helpers import random_stable_model, singular_removed_block_model
 
 
 def run(*argv):
@@ -339,20 +340,42 @@ class TestOtherCommands:
         assert capsys.readouterr().err.startswith("error[usage]")
 
 
-@pytest.mark.parametrize("command", ["counterexample", "analyze"])
-def test_one_transfer_function_per_command(command, tmp_path, monkeypatch):
-    # the report's H feeds the DTF, the density and transfer_function.csv
+@pytest.mark.parametrize(
+    "command,extra",
+    [("counterexample", ()), ("analyze", ()), ("reduce", ("--pair", "1,2")),
+     ("marginalize", ("--pair", "1,2"))],
+    ids=["counterexample", "analyze", "reduce", "marginalize"],
+)
+def test_one_transfer_function_per_command(command, extra, tmp_path, monkeypatch):
+    # one A(lambda), inverted once: the DTF, the density, the reduction and
+    # the marginal residual check all read that H. A module that imported
+    # either name is counted too.
     calls = []
-    evaluate = spectral.transfer_function
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("vardtf.")]
+    for name in ("transfer_function", "char_polynomial"):
+        evaluate = getattr(spectral, name)
 
-    def counting(model, grid):
-        calls.append(len(grid))
-        return evaluate(model, grid)
+        def counting(model, grid, name=name, evaluate=evaluate):
+            calls.append((name, len(grid)))
+            return evaluate(model, grid)
 
-    monkeypatch.setattr(spectral, "transfer_function", counting)
-    argv = ("--alpha", 1, "--beta", 1, "--grid", 65, "--out", tmp_path / "out")
+        for mod in modules:
+            if getattr(mod, name, None) is evaluate:
+                monkeypatch.setattr(mod, name, counting)
+    argv = ("--alpha", 1, "--beta", 1, "--grid", 65, "--out", tmp_path / "out", *extra)
     assert run(command, *argv) == 0
-    assert calls == [65]
+    assert sorted(calls) == [("char_polynomial", 65), ("transfer_function", 65)]
+
+
+def test_singular_removed_block_is_numerical_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    write_model(singular_removed_block_model(), path)
+    assert run("reduce", "--model", path, "--pair", "1,2", "--out", tmp_path / "red") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error[numerical]: singular matrix at frequency 0 ")
+    assert "A_RR" in captured.err
 
 
 @pytest.mark.parametrize("command", ["granger", "analyze", "counterexample"])

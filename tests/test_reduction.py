@@ -15,16 +15,21 @@ from vardtf import (
     is_white,
     kaminski_error_lag_crosscov,
     make_var,
-    partition_blocks,
     reduce_pair,
     reduced_polynomial,
+    transfer_function,
     whiteness_deficit,
 )
-from vardtf.exceptions import DimensionTooSmall, ShapeMismatch
+from vardtf.exceptions import DimensionTooSmall, ShapeMismatch, SingularAtFrequency
 from vardtf.reduction import ReducedRepresentation
-from vardtf.spectral import FrequencyMatrix
+from vardtf.spectral import FrequencyGrid, FrequencyMatrix
 
-from helpers import block_diagonal_model, random_stable_model
+from helpers import (
+    block_diagonal_model,
+    block_substitution_reference,
+    random_stable_model,
+    singular_removed_block_model,
+)
 
 PAIR12 = ChannelPair(target=0, source=1)
 
@@ -85,37 +90,22 @@ def ma_spectral_matrix(taps, lams, lag_range=4):
     return values / (2.0 * np.pi)
 
 
-class TestPartitionBlocks:
-    def test_counterexample_blocks(self):
-        grid = default_grid(17)
-        a = char_polynomial(counterexample_model(2.0, -0.5), grid)
-        a_ss, a_sr, a_rs, a_rr = partition_blocks(a, PAIR12)
-        lam = grid.points
-        assert_allclose(a_ss.values, np.broadcast_to(np.eye(2), (17, 2, 2)))
-        assert_allclose(a_sr.values[:, 0, 0], -2.0 * np.exp(-2j * lam))
-        assert_allclose(a_sr.values[:, 1, 0], 0.5 * np.exp(-1j * lam))
-        assert np.all(a_rs.values == 0.0)
-        assert_allclose(a_rr.values, np.ones((17, 1, 1)))
-
-    def test_white_noise_blocks(self):
-        grid = default_grid(5)
-        a = char_polynomial(make_var([], np.eye(3)), grid)
-        a_ss, a_sr, a_rs, a_rr = partition_blocks(a, PAIR12)
-        assert np.all(a_sr.values == 0.0)
-        assert np.all(a_rs.values == 0.0)
-        assert_allclose(a_ss.values, np.broadcast_to(np.eye(2), (5, 2, 2)))
-
-    def test_pair_order_is_target_first(self):
-        grid = default_grid(5)
-        a = char_polynomial(counterexample_model(1.0, 3.0), grid)
-        _, a_sr, _, _ = partition_blocks(a, ChannelPair(target=1, source=0))
-        # row 0 is now channel 2, whose coupling to channel 3 carries beta
-        assert_allclose(a_sr.values[:, 0, 0], -3.0 * np.exp(-1j * grid.points))
-
+class TestReducePair:
     def test_dim_too_small(self):
-        a = char_polynomial(make_var([], np.eye(2)), default_grid(5))
+        m = make_var([], np.eye(2))
         with pytest.raises(DimensionTooSmall):
-            partition_blocks(a, PAIR12)
+            reduce_pair(m, PAIR12, transfer_function(m, default_grid(5)))
+
+    def test_singular_removed_block(self):
+        m = singular_removed_block_model()
+        h = transfer_function(m, default_grid())
+        with pytest.raises(SingularAtFrequency, match="A_RR") as exc:
+            reduce_pair(m, PAIR12, h)
+        assert exc.value.frequency == 0.0
+        # A_RR(lambda) = 1 - exp(-i lambda) vanishes only at lambda = 0
+        off_zero = FrequencyGrid(np.linspace(0.01, np.pi, 33))
+        red = reduce_pair(m, PAIR12, transfer_function(m, off_zero))
+        assert np.all(np.isfinite(red.reduced_poly.values))
 
 
 class TestReducedPolynomial:
@@ -131,8 +121,8 @@ class TestReducedPolynomial:
         m = block_diagonal_model(3, block_dims=(2, 2))
         grid = default_grid(33)
         g = reduced_polynomial(m, PAIR12, grid)
-        a_ss = partition_blocks(char_polynomial(m, grid), PAIR12)[0]
-        assert_allclose(g.values, a_ss.values, atol=1e-14)
+        a_ss = char_polynomial(m, grid).values[:, :2, :2]
+        assert_allclose(g.values, a_ss, atol=1e-14)
 
 
 class TestErrorSpectralMatrix:
@@ -266,6 +256,32 @@ def test_error_autocov_matches_ma_oracle(seed, dim, order, maxlag, data):
     assert np.max(np.abs(seq.gammas - expected)) <= 1e-14 * np.max(np.abs(expected[0]))
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 6),
+    order=st.integers(1, 4),
+    radius=st.floats(0.1, 0.95),
+    lagless=st.booleans(),
+    data=st.data(),
+)
+def test_reduce_pair_matches_block_substitution(seed, dim, order, radius, lagless, data):
+    # G = H_SS^-1 and the density of G H_S. against the Schur complement and
+    # the Sigma block algebra on A(lambda); the removed block is lagged
+    # unless ``lagless``
+    target, source = data.draw(st.permutations(range(dim)))[:2]
+    pair = ChannelPair(target=target, source=source)
+    removed = [ch for ch in range(dim) if ch not in pair.channels]
+    m = random_stable_model(
+        seed, dim=dim, order=order, radius=radius, lagless=removed if lagless else ()
+    )
+    grid = default_grid(65)
+    red = reduce_pair(m, pair, transfer_function(m, grid))
+    g, f = block_substitution_reference(m, pair, grid.points)
+    assert np.max(np.abs(red.reduced_poly.values - g)) <= 1e-11 * np.max(np.abs(g))
+    assert np.max(np.abs(red.error_spectrum.values - f)) <= 1e-11 * np.max(np.abs(f))
+
+
 class TestErrorAutocov:
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, -3.0), (0.5, 2.0)])
     def test_counterexample_closed_form(self, alpha, beta):
@@ -309,7 +325,7 @@ class TestReducedRepresentation:
     def test_bundle(self):
         m = counterexample_model(1.0, 1.0)
         grid = default_grid(17)
-        red = reduce_pair(m, PAIR12, grid)
+        red = reduce_pair(m, PAIR12, transfer_function(m, grid))
         assert_allclose(
             red.reduced_poly.values,
             reduced_polynomial(m, PAIR12, grid).values,

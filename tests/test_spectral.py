@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from vardtf import (
 )
 from vardtf.exceptions import DegenerateRow, ShapeMismatch, SingularAtFrequency
 from vardtf.spectral import (
+    RESIDUAL_CHUNK,
     FrequencyGrid,
     FrequencyMatrix,
     dtf_from_transfer,
     frequency_matrix_to_csv,
+    invert_pointwise,
 )
 
 from helpers import fourier_subgrid, random_stable_model, smoothed_periodogram
@@ -106,6 +109,32 @@ class TestTransferFunction:
         with pytest.raises(SingularAtFrequency) as exc:
             transfer_function(m, default_grid(5))
         assert exc.value.frequency == pytest.approx(0.0)
+
+
+    def test_residual_failure_located_past_the_first_block(self):
+        # [[1, 1e8], [1e-8, 1 + 1e-12]] inverts without a LinAlgError but
+        # fails the residual gate; the first failing point is reported
+        grid = default_grid(3 * RESIDUAL_CHUNK)
+        values = np.broadcast_to(np.eye(2, dtype=complex), (len(grid), 2, 2)).copy()
+        bad = [RESIDUAL_CHUNK + 7, 2 * RESIDUAL_CHUNK + 1]
+        values[bad] = [[1.0, 1e8], [1e-8, 1.0 + 1e-12]]
+        with pytest.raises(SingularAtFrequency, match="inversion residual") as exc:
+            invert_pointwise(FrequencyMatrix(grid, values))
+        assert exc.value.frequency == grid.points[bad[0]]
+
+    def test_inversion_memory_bounded(self):
+        # the residual check runs block by block, so the peak is A and H
+        # plus small temporaries (2.1x H here), not two more grid-sized
+        # products (4.0x)
+        m = random_stable_model(1, dim=12, order=4, radius=0.7)
+        grid = default_grid(8193)
+        tracemalloc.start()
+        try:
+            h = transfer_function(m, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * h.values.nbytes
 
 
 class TestSpectralDensity:
