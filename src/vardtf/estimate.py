@@ -71,13 +71,12 @@ class FitResult:
 class WhitenessReport:
     """Residual cross-correlation diagnostics and a portmanteau statistic.
 
-    ``lag_corr[l-1]`` is the lag-l correlation matrix of the residuals;
-    ``lag_norms[l-1]`` its largest absolute entry. The statistic is the
+    ``lag_norms[l-1]`` is the largest absolute entry of the lag-l
+    correlation matrix of the residuals. The statistic is the
     small-sample multivariate portmanteau aggregate, chi-square with ``df``
     degrees of freedom under whiteness.
     """
 
-    lag_corr: np.ndarray
     lag_norms: np.ndarray
     statistic: float
     df: int
@@ -215,12 +214,6 @@ def fit_var(traj: Trajectory, order: int) -> FitResult:
     )
 
 
-def _lag_correlations(acov: AutocovSequence) -> np.ndarray:
-    """Correlation matrices at lags 1..maxlag of a sample autocovariance sequence."""
-    c0 = acov.gammas[0]
-    return acov.gammas[1:] / np.sqrt(np.outer(np.diag(c0), np.diag(c0)))
-
-
 def whiteness_stats(
     residuals: np.ndarray, maxlag: int, df_model: int = 0
 ) -> WhitenessReport:
@@ -233,7 +226,8 @@ def whiteness_stats(
     acov = sample_autocov(residuals, maxlag)
     t_len, d = np.shape(residuals)
     c0_inv = np.linalg.solve(acov.gammas[0], np.eye(d))
-    corr = _lag_correlations(acov)
+    c0 = acov.gammas[0]
+    corr = acov.gammas[1:] / np.sqrt(np.outer(np.diag(c0), np.diag(c0)))
     statistic = 0.0
     for lag in range(1, maxlag + 1):
         c = acov.gammas[lag]
@@ -243,7 +237,6 @@ def whiteness_stats(
     df = d * d * max(maxlag - df_model, 1)
     p_value = float(stats.chi2.sf(statistic, df))
     return WhitenessReport(
-        lag_corr=corr,
         lag_norms=np.max(np.abs(corr), axis=(1, 2)),
         statistic=statistic,
         df=df,

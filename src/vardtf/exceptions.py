@@ -5,6 +5,10 @@ class VardtfError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NumericalError(VardtfError):
+    """A computation on valid input failed; every other VardtfError is a usage error."""
+
+
 class ShapeMismatch(VardtfError):
     """Array dimensions are inconsistent with the declared model."""
 
@@ -34,7 +38,7 @@ class OrderZero(VardtfError):
     """Operation requires at least one lag coefficient matrix."""
 
 
-class SingularAtFrequency(VardtfError):
+class SingularAtFrequency(NumericalError):
     """A frequency-domain matrix could not be inverted reliably.
 
     Attributes
@@ -51,7 +55,7 @@ class SingularAtFrequency(VardtfError):
         super().__init__(msg)
 
 
-class DegenerateRow(VardtfError):
+class DegenerateRow(NumericalError):
     """An entire transfer-function row vanishes; row-normalization undefined."""
 
 
@@ -59,19 +63,19 @@ class DimensionTooSmall(VardtfError):
     """Marginalization requires strictly more channels than are retained."""
 
 
-class SingularToeplitz(VardtfError):
+class SingularToeplitz(NumericalError):
     """The block-Toeplitz autocovariance system is singular."""
 
 
-class NumericalBreakdown(VardtfError):
+class NumericalBreakdown(NumericalError):
     """An innovation covariance lost positive semi-definiteness."""
 
 
-class NoConvergence(VardtfError):
+class NoConvergence(NumericalError):
     """An iterative linear-algebra solve failed to converge."""
 
 
-class NotConverged(VardtfError):
+class NotConverged(NumericalError):
     """Order-selection loop hit its cap before meeting the tolerance.
 
     Attributes
@@ -88,5 +92,5 @@ class NotConverged(VardtfError):
         super().__init__(message)
 
 
-class RankDeficientRegressors(VardtfError):
+class RankDeficientRegressors(NumericalError):
     """The lagged-regressor matrix does not have full column rank."""

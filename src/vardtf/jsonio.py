@@ -67,12 +67,8 @@ def _emit(obj, indent: int, pieces: list[str]) -> None:
         pieces.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         pieces.append(_format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _emit({"re": obj.real, "im": obj.imag}, indent, pieces)
     elif isinstance(obj, str):
         pieces.append(_escape(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), indent, pieces)
     elif isinstance(obj, dict):
         if not obj:
             pieces.append("{}")

@@ -19,6 +19,7 @@ only at the order returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -88,19 +89,26 @@ class MarginalAR:
         object.__setattr__(self, "innov_cov", v)
 
 
-def _levinson_whittle(acov: AutocovSequence, q: int):
-    """Run the recursion to order ``q``, yielding its state after each step.
+def _levinson_whittle(
+    acov: AutocovSequence, orders: Sequence[int], tol: float, pair: ChannelPair | None = None
+) -> tuple:
+    """Run the recursion to ``orders[-1]``; stop at the first listed order that converges.
 
-    Yields (order, fwd, v, tail_norm, v_delta): ``fwd[u-1]`` is the forward
-    coefficient at lag u and ``v`` the forward error covariance. Forward and
-    backward quantities are stacked, so each step updates both predictors at
-    every lag, and both error covariances, in single array operations;
-    ``delta`` subtracts the lag terms from Gamma(n+1) in lag order.
+    At each order of the increasing sequence ``orders`` the step's tail,
+    {tail_norm, v_delta}, is recorded, and the first order where both fall
+    below ``tol`` ends the recursion. Returns (the MarginalAR at the order
+    where it stopped, the records by order); the block-Toeplitz condition
+    number is taken only at that order.
+
+    Forward and backward quantities are stacked, so each step updates both
+    predictors at every lag, and both error covariances, in single array
+    operations; ``delta`` subtracts the lag terms from Gamma(n+1) in lag
+    order.
     """
-    if q < 0:
+    if orders[-1] < 0:
         raise ShapeMismatch("order must be non-negative")
-    if q > acov.maxlag:
-        raise ShapeMismatch(f"order {q} exceeds available lags {acov.maxlag}")
+    if orders[-1] > acov.maxlag:
+        raise ShapeMismatch(f"order {orders[-1]} exceeds available lags {acov.maxlag}")
     d = acov.dim
     gam = acov.gammas
 
@@ -109,8 +117,10 @@ def _levinson_whittle(acov: AutocovSequence, q: int):
     pred = np.zeros((2, 0, d, d))
     cov = np.array((gam[0], gam[0]))
     trace_v = float(np.trace(cov[0]))
+    tail_norm = v_delta = np.inf
+    diagnostics: dict = {}
 
-    for n in range(q):
+    for n in range(orders[-1]):
         delta = np.subtract.reduce(
             np.concatenate((gam[n + 1][None], pred[0] @ gam[n:0:-1])), axis=0
         )
@@ -134,34 +144,28 @@ def _levinson_whittle(acov: AutocovSequence, q: int):
                 f"innovation covariance eigenvalue {eig_min:.3g} at order {n + 1}"
             )
         trace_next = float(np.trace(cov[0]))
+        tail_norm = float(np.linalg.norm(gains[0], "fro"))
         v_delta = abs(trace_v - trace_next)
         trace_v = trace_next
-        yield n + 1, pred[0], cov[0], float(np.linalg.norm(gains[0], "fro")), v_delta
+        if n + 1 in orders:
+            diagnostics[n + 1] = {"tail_norm": tail_norm, "v_delta": v_delta}
+            if tail_norm < tol and v_delta < tol:
+                break
 
-
-def _representation(
-    acov: AutocovSequence,
-    q: int,
-    fwd: np.ndarray,
-    v: np.ndarray,
-    tail_norm: float,
-    v_delta: float,
-    tol: float,
-    pair: ChannelPair | None = None,
-) -> MarginalAR:
-    """The order-``q`` state of the recursion as a MarginalAR, with its conditioning."""
-    cond = float(np.linalg.cond(block_toeplitz(acov, max(q, 1))))
-    converged = bool(q > 0 and tail_norm < tol and v_delta < tol)
-    return MarginalAR(
+    q = pred.shape[1]
+    rep = MarginalAR(
         pair=pair,
         order_used=q,
-        phis=fwd.copy(),  # not a view: the backward coefficients can be freed
-        innov_cov=v,
+        phis=pred[0].copy(),  # not a view: the backward coefficients can be freed
+        innov_cov=cov[0],
         convergence=ConvergenceInfo(
-            tail_norm=tail_norm, v_delta=v_delta, converged=converged
+            tail_norm=tail_norm,
+            v_delta=v_delta,
+            converged=bool(tail_norm < tol and v_delta < tol),
         ),
-        toeplitz_cond=cond,
+        toeplitz_cond=float(np.linalg.cond(block_toeplitz(acov, max(q, 1)))),
     )
+    return rep, diagnostics
 
 
 def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -> MarginalAR:
@@ -196,10 +200,7 @@ def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -
         The innovation covariance lost positive semi-definiteness beyond
         the -1e-8 eigenvalue floor.
     """
-    state = (0, np.zeros((0, acov.dim, acov.dim)), acov.gammas[0].copy(), np.inf, np.inf)
-    for state in _levinson_whittle(acov, q):
-        pass
-    return _representation(acov, *state, tol)
+    return _levinson_whittle(acov, (q,), tol)[0]
 
 
 def _order_schedule(q_max: int) -> list:
@@ -240,23 +241,15 @@ def marginal_from_autocov(
         If ``q_max < 1`` or ``tol`` is not a finite positive number.
     """
     check_settings(q_max, tol)
-    schedule = _order_schedule(q_max)
-    checks = iter(schedule)
-    check = next(checks)
-    diagnostics: dict = {}
-    for q, fwd, v, tail_norm, v_delta in _levinson_whittle(seq, schedule[-1]):
-        if q != check:
-            continue
-        diagnostics[q] = {"tail_norm": tail_norm, "v_delta": v_delta}
-        if tail_norm < tol and v_delta < tol:
-            return _representation(seq, q, fwd, v, tail_norm, v_delta, tol, pair)
-        check = next(checks, None)
-    raise NotConverged(
-        f"marginal representation not converged by order {q_max} "
-        f"(tail {tail_norm:.3g}, v_delta {v_delta:.3g})",
-        best=_representation(seq, q, fwd, v, tail_norm, v_delta, tol, pair),
-        diagnostics=diagnostics,
-    )
+    rep, diagnostics = _levinson_whittle(seq, _order_schedule(q_max), tol, pair)
+    if not rep.convergence.converged:
+        raise NotConverged(
+            f"marginal representation not converged by order {q_max} "
+            f"(tail {rep.convergence.tail_norm:.3g}, v_delta {rep.convergence.v_delta:.3g})",
+            best=rep,
+            diagnostics=diagnostics,
+        )
+    return rep
 
 
 def marginal_representation(

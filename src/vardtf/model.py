@@ -52,7 +52,8 @@ class VarModel:
     sigma : np.ndarray
         Real symmetric PSD d-by-d innovation covariance.
     spectral_radius : float
-        Largest eigenvalue modulus of the companion matrix.
+        Largest eigenvalue modulus of the companion matrix (derived, not
+        an init argument).
 
     Instances are immutable (arrays are write-protected) and safe to share
     across threads.
@@ -62,7 +63,7 @@ class VarModel:
     order: int
     coeffs: tuple
     sigma: np.ndarray
-    spectral_radius: float = field(default=0.0, compare=False)
+    spectral_radius: float = field(init=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(np.array(a, dtype=float) for a in self.coeffs)
@@ -81,6 +82,8 @@ class VarModel:
                     f"coefficient matrix for lag {u} has shape {a.shape}, "
                     f"expected ({self.dim}, {self.dim})"
                 )
+            if not np.all(np.isfinite(a)):
+                raise ShapeMismatch(f"coefficient matrix for lag {u} is not finite")
         _check_covariance(sigma)
 
         rho = 0.0
@@ -139,6 +142,8 @@ class ChannelPair:
 
 
 def _check_covariance(sigma: np.ndarray) -> None:
+    if not np.all(np.isfinite(sigma)):
+        raise NotPositiveSemiDefinite("sigma is not finite")
     asym = float(np.max(np.abs(sigma - sigma.T))) if sigma.size else 0.0
     if asym >= SYMMETRY_TOL:
         raise NotPositiveSemiDefinite(
@@ -174,9 +179,10 @@ def make_var(coeffs: Sequence, sigma) -> VarModel:
     Raises
     ------
     ShapeMismatch
-        Inconsistent array shapes.
+        Inconsistent array shapes, or a coefficient that is not finite.
     NotPositiveSemiDefinite
-        ``sigma`` asymmetric or with eigenvalues below the tolerance floor.
+        ``sigma`` not finite, asymmetric, or with eigenvalues below the
+        tolerance floor.
     Unstable
         Companion spectral radius at or above one.
     """

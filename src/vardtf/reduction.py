@@ -147,13 +147,13 @@ def whiteness_deficit(spectrum: FrequencyMatrix) -> float:
     return float(np.max(np.linalg.norm(scaled - mean, axis=(1, 2))))
 
 
-def is_white(spectrum: FrequencyMatrix, rel_tol: float = WHITE_REL_TOL) -> bool:
-    """Boolean whiteness verdict: deficit relative to the mean within rel_tol."""
+def is_white(spectrum: FrequencyMatrix) -> bool:
+    """Boolean whiteness verdict: deficit relative to the mean within WHITE_REL_TOL."""
     scaled = 2.0 * np.pi * spectrum.values
     scale = np.linalg.norm(scaled.mean(axis=0), "fro")
     if scale == 0.0:
         return True
-    return whiteness_deficit(spectrum) / scale <= rel_tol
+    return whiteness_deficit(spectrum) / scale <= WHITE_REL_TOL
 
 
 def error_autocov(model: VarModel, pair: ChannelPair, maxlag: int) -> AutocovSequence:

@@ -44,6 +44,8 @@ class FrequencyGrid:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ShapeMismatch("grid needs at least two frequency points")
+        if not np.all(np.isfinite(pts)):
+            raise ShapeMismatch("grid points must be finite")
         if np.any(np.diff(pts) <= 0):
             raise ShapeMismatch("grid points must be strictly increasing")
         if pts[0] < 0.0 or pts[-1] > np.pi + 1e-12:
@@ -153,7 +155,7 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     for start in range(0, n, RESIDUAL_CHUNK):
         block = slice(start, start + RESIDUAL_CHUNK)
         residual = np.linalg.norm(inv[block] @ values[block] - eye, axis=(1, 2))
-        bad = np.nonzero(residual >= INVERSION_RESIDUAL_TOL)[0]
+        bad = np.nonzero(~(residual < INVERSION_RESIDUAL_TOL))[0]  # NaN fails too
         if bad.size:
             raise SingularAtFrequency(
                 fm.grid.points[start + bad[0]],

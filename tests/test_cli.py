@@ -7,6 +7,7 @@ import pytest
 from vardtf import (
     ChannelPair,
     counterexample_model,
+    exceptions,
     make_var,
     marginal_representation,
     moments,
@@ -15,7 +16,7 @@ from vardtf import (
     write_model,
 )
 from vardtf.cli import main
-from vardtf.exceptions import NoConvergence, NotConverged
+from vardtf.exceptions import NoConvergence, NotConverged, NumericalError, VardtfError
 from vardtf.jsonio import canonical_json
 
 from helpers import random_stable_model, singular_removed_block_model
@@ -392,3 +393,67 @@ def test_invalid_marginal_settings_are_usage_errors(command, flags, tmp_path, ca
     assert captured.err.count("\n") == 1 and captured.err.startswith("error[usage]")
     if command != "granger":
         assert list(out.iterdir()) == []
+
+
+def _usage_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error[usage]: ")
+    return captured.err
+
+
+def test_non_finite_sigma_file_is_usage_error(tmp_path, capsys):
+    doc = counterexample_model(1.0, 1.0).to_dict()
+    doc["sigma"][2][2] = float("nan")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # writes the NaN literal json.load accepts
+    assert run("granger", "--model", path, "--json") == 2
+    assert "sigma is not finite" in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize("alpha,beta", [("inf", 1), (1, "inf"), ("nan", 1)])
+def test_non_finite_coupling_is_usage_error(alpha, beta, capsys):
+    assert run("granger", "--alpha", alpha, "--beta", beta) == 2
+    assert "not finite" in _usage_error_line(capsys)
+
+
+def test_infinite_sampling_rate_is_usage_error(capsys):
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--fs", "inf", "--grid", 3) == 2
+    assert "finite" in _usage_error_line(capsys)
+
+
+#: The library errors the CLI reports as numerical failures (exit 1). Every
+#: other VardtfError is a usage error (exit 2).
+NUMERICAL_ERRORS = {
+    "NumericalError",
+    "SingularAtFrequency",
+    "DegenerateRow",
+    "SingularToeplitz",
+    "NumericalBreakdown",
+    "NoConvergence",
+    "NotConverged",
+    "RankDeficientRegressors",
+}
+ERROR_CLASSES = [
+    c for c in vars(exceptions).values() if isinstance(c, type) and issubclass(c, VardtfError)
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_taxonomy(cls, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        positional = cls in (exceptions.Unstable, exceptions.SingularAtFrequency)
+        raise cls(0.5) if positional else cls("planted failure")
+
+    monkeypatch.setattr(spectral, "dtf", failing)
+    code = run("dtf", "--alpha", 1, "--beta", 1, "--grid", 3)
+    captured = capsys.readouterr()
+    kind, expected = ("numerical", 1) if cls.__name__ in NUMERICAL_ERRORS else ("usage", 2)
+    assert code == expected
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error[{kind}]: ")
+
+
+def test_numerical_errors_share_one_base():
+    numerical = {c.__name__ for c in ERROR_CLASSES if issubclass(c, NumericalError)}
+    assert numerical == NUMERICAL_ERRORS

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from vardtf import (
     ChannelPair,
+    VarModel,
     companion_matrix,
     counterexample_model,
     make_var,
@@ -69,6 +70,24 @@ class TestMakeVar:
             make_var([np.zeros((2, 3))], np.eye(2))
         with pytest.raises(ShapeMismatch):
             make_var([np.zeros((3, 3))], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "coeffs,sigma,error",
+        [
+            ([[[0.5]]], [[np.nan]], NotPositiveSemiDefinite),
+            ([], [[np.inf]], NotPositiveSemiDefinite),
+            ([[[np.nan]]], [[1.0]], ShapeMismatch),
+        ],
+    )
+    def test_non_finite_rejected(self, coeffs, sigma, error):
+        with pytest.raises(error, match="not finite"):
+            make_var(coeffs, sigma)
+
+    def test_spectral_radius_is_derived(self):
+        m = make_var([[[0.5]]], [[1.0]])
+        assert m.spectral_radius == 0.5
+        with pytest.raises(TypeError):
+            VarModel(dim=1, order=0, coeffs=(), sigma=[[1.0]], spectral_radius=0.5)
 
     def test_model_immutable(self):
         m = counterexample_model(1.0, 1.0)

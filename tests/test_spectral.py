@@ -50,6 +50,11 @@ class TestGrid:
         with pytest.raises(ShapeMismatch):
             FrequencyGrid(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ShapeMismatch, match="finite"):
+            FrequencyGrid(np.array([0.0, bad]))
+
 
 class TestCharPolynomial:
     def test_white_noise_identity(self):
@@ -121,6 +126,16 @@ class TestTransferFunction:
         with pytest.raises(SingularAtFrequency, match="inversion residual") as exc:
             invert_pointwise(FrequencyMatrix(grid, values))
         assert exc.value.frequency == grid.points[bad[0]]
+
+    def test_nan_entry_fails_the_residual_gate(self):
+        # a NaN entry inverts without a LinAlgError to an all-NaN matrix,
+        # whose NaN residual must fail the gate at that point
+        grid = default_grid(5)
+        values = np.broadcast_to(np.eye(2, dtype=complex), (len(grid), 2, 2)).copy()
+        values[3, 0, 1] = np.nan
+        with pytest.raises(SingularAtFrequency) as exc:
+            invert_pointwise(FrequencyMatrix(grid, values))
+        assert exc.value.frequency == grid.points[3]
 
     def test_inversion_memory_bounded(self):
         # the residual check runs block by block, so the peak is A and H
