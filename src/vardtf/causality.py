@@ -16,9 +16,10 @@ multivariate causal link. Such pairs carry a contradiction flag. All
 verdicts are computed from the known model, never from data, because the
 question is about the measures themselves rather than estimation error.
 
-A report makes one transfer-function evaluation and one autocovariance
-solve per model and one recursion pass per pair. It keeps the transfer
-function, and each pair's representation (or the error that replaced it) on
+A report makes one transfer-function evaluation and one call of
+``marginal.marginal_representations`` (one autocovariance solve, one
+recursion pass per pair) per model, and only assembles the verdicts. It
+keeps H, and each pair's representation (or the error that replaced it) on
 the verdict, so callers reuse them instead of computing them again.
 """
 
@@ -29,15 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import moments, spectral
+from . import spectral
 from .exceptions import VardtfError
 from .marginal import (
     DEFAULT_Q_MAX,
     DEFAULT_TOL,
     MarginalAR,
-    check_settings,
-    marginal_from_autocov,
     marginal_representation,
+    marginal_representations,
 )
 from .model import ChannelPair, VarModel
 from .spectral import FrequencyGrid, FrequencyMatrix, default_grid, dtf_from_transfer
@@ -143,58 +143,43 @@ def full_report(
 ) -> CausalityReport:
     """All three verdicts for every ordered pair of distinct channels.
 
-    The model's autocovariances are solved once, up to lag ``q_max``, and
-    every pair's representation is drawn from them. Per-pair numerical
-    failures (e.g. a non-converged marginalization) are recorded in that
-    pair's ``error`` field without aborting the remaining pairs; a failed
-    solve is every pair's failure. Settings other than ``q_max >= 1`` and a
-    finite ``tol > 0`` raise ShapeMismatch before any pair runs.
+    Every pair's representation comes from one ``marginal_representations``
+    call. Per-pair numerical failures (e.g. a non-converged marginalization)
+    are recorded in that pair's ``error`` field without aborting the
+    remaining pairs; a failed solve is every pair's failure. Settings other
+    than ``q_max >= 1`` and a finite ``tol > 0`` raise ShapeMismatch before
+    any pair runs.
     """
-    check_settings(q_max, tol)
+    pairs = [
+        ChannelPair(source=source, target=target)
+        for target, source in itertools.permutations(range(model.dim), 2)
+    ]
+    marginals = marginal_representations(model, pairs, q_max, tol)
     if grid is None:
         grid = default_grid()
     transfer = spectral.transfer_function(model, grid)
     dtf_vals = dtf_from_transfer(transfer, normalized=True)
-    try:
-        acov, solve_failure = moments.autocov(model, maxlag=q_max), None
-    except VardtfError as exc:
-        acov, solve_failure = None, exc
     verdicts = []
-    for target, source in itertools.permutations(range(model.dim), 2):
-        pair = ChannelPair(source=source, target=target)
-        max_dtf = float(np.max(dtf_vals[:, target, source]))
+    for pair, result in zip(pairs, marginals):
+        max_dtf = float(np.max(dtf_vals[:, pair.target, pair.source]))
         dtf_zero = max_dtf < DTF_ZERO_TOL
         mv_flag, max_coeff = multivariate_gc(model, pair)
-        rep, failure = None, solve_failure
-        if failure is None:
-            try:
-                rep = marginal_from_autocov(
-                    moments.subprocess_autocov(acov, pair), pair, q_max, tol
-                )
-            except VardtfError as exc:
-                failure = exc
-        if rep is None:
-            bi_flag, max_phi, error = None, None, str(failure)
-        else:
-            (bi_flag, max_phi), error = _gc_verdict(rep), None
-        contradiction = bool(
-            (dtf_zero and bi_flag is True)
-            or (not dtf_zero and not mv_flag)
-        )
+        failed = isinstance(result, VardtfError)
+        bi_flag, max_phi = (None, None) if failed else _gc_verdict(result)
         verdicts.append(
             PairVerdict(
-                target=target,
-                source=source,
+                target=pair.target,
+                source=pair.source,
                 dtf_zero=dtf_zero,
                 bivariate_gc=bi_flag,
                 multivariate_gc=mv_flag,
-                contradiction=contradiction,
+                contradiction=(dtf_zero and bi_flag is True) or (not dtf_zero and not mv_flag),
                 max_dtf=max_dtf,
                 max_phi=max_phi,
                 max_coeff=max_coeff,
-                error=error,
-                marginal=rep,
-                failure=failure,
+                error=str(result) if failed else None,
+                marginal=None if failed else result,
+                failure=result if failed else None,
             )
         )
     return CausalityReport(dim=model.dim, pairs=tuple(verdicts), transfer=transfer)

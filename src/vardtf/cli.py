@@ -59,8 +59,8 @@ def _make_grid(args) -> spectral.FrequencyGrid:
             raise ValueError("--band needs --fs")
         return spectral.default_grid(count)
     fs = args.fs
-    if fs <= 0:
-        raise ValueError("--fs must be positive")
+    if not (np.isfinite(fs) and fs > 0):
+        raise ValueError("--fs must be positive and finite")
     lo, hi = 0.0, fs / 2.0
     if args.band:
         parts = args.band.split(",")

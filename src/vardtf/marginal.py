@@ -10,10 +10,10 @@ covariance at every intermediate order.
 Marginal representations are generically of infinite order with
 geometrically decaying tails, so the driver grows the order until the last
 coefficient block and the innovation-trace decrement both fall below a
-tolerance. The model's autocovariances are solved once and each pair's are
-selected from them; one recursion pass per pair is checked for convergence
-at the orders 4, 8, .., and the block-Toeplitz condition number is taken
-only at the order returned.
+tolerance. ``marginal_representations`` solves a model's autocovariances
+once and selects each pair's from them; one recursion pass per pair is
+checked for convergence at the orders 4, 8, .., and the block-Toeplitz
+condition number is taken only at the order returned.
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
+from . import moments
 from .exceptions import (
     NotConverged,
     NumericalBreakdown,
     ShapeMismatch,
     SingularToeplitz,
+    VardtfError,
 )
 from .model import ChannelPair, VarModel
-from .moments import AutocovSequence, autocov, block_toeplitz, subprocess_autocov
+from .moments import AutocovSequence, block_toeplitz, subprocess_autocov
 from .reduction import whiteness_deficit
 from .spectral import FrequencyMatrix, density_from_transfer, lag_polynomial
 
@@ -214,42 +216,45 @@ def _order_schedule(q_max: int) -> list:
     return qs
 
 
-def check_settings(q_max: int, tol: float) -> None:
-    """Reject an order cap below 1 and a tolerance that is not finite and positive."""
-    if q_max < 1 or not (np.isfinite(tol) and tol > 0.0):
-        raise ShapeMismatch(f"need q_max >= 1 and a finite tol > 0, got {q_max} and {tol:g}")
-
-
-def marginal_from_autocov(
-    seq: AutocovSequence,
-    pair: ChannelPair,
+def marginal_representations(
+    model: VarModel,
+    pairs: Sequence[ChannelPair],
     q_max: int = DEFAULT_Q_MAX,
     tol: float = DEFAULT_TOL,
-) -> MarginalAR:
-    """Marginal representation of ``pair`` from the pair's own autocovariances.
+) -> list:
+    """Each pair's MarginalAR or the VardtfError that replaced it, aligned with ``pairs``.
 
-    ``seq`` is the pair's Gamma(0..q_max), selected from one model-wide
-    solve with ``subprocess_autocov``. One recursion pass runs to at most
-    ``q_max`` and checks convergence at the orders 4, 8, .., q_max; the
-    block-Toeplitz condition number is taken only at the order returned.
-
-    Raises
-    ------
-    NotConverged
-        As ``marginal_representation``.
-    ShapeMismatch
-        If ``q_max < 1`` or ``tol`` is not a finite positive number.
+    One autocovariance solve to lag ``q_max`` serves every pair; a failed
+    solve is every pair's failure, and a pair not converged by ``q_max``
+    gets a NotConverged carrying ``best`` and per-order ``diagnostics``.
+    Settings other than ``q_max >= 1`` and a finite ``tol > 0``, and a pair
+    out of range, raise ShapeMismatch before the solve.
     """
-    check_settings(q_max, tol)
-    rep, diagnostics = _levinson_whittle(seq, _order_schedule(q_max), tol, pair)
-    if not rep.convergence.converged:
-        raise NotConverged(
-            f"marginal representation not converged by order {q_max} "
-            f"(tail {rep.convergence.tail_norm:.3g}, v_delta {rep.convergence.v_delta:.3g})",
-            best=rep,
-            diagnostics=diagnostics,
-        )
-    return rep
+    if q_max < 1 or not (np.isfinite(tol) and tol > 0.0):
+        raise ShapeMismatch(f"need q_max >= 1 and a finite tol > 0, got {q_max} and {tol:g}")
+    for pair in pairs:
+        pair.check_dim(model.dim)
+    try:
+        acov = moments.autocov(model, maxlag=q_max)
+    except VardtfError as exc:
+        return [exc] * len(pairs)
+    orders = _order_schedule(q_max)
+    results = []
+    for pair in pairs:
+        try:
+            rep, diagnostics = _levinson_whittle(subprocess_autocov(acov, pair), orders, tol, pair)
+            conv = rep.convergence
+            if not conv.converged:
+                raise NotConverged(
+                    f"marginal representation not converged by order {q_max} "
+                    f"(tail {conv.tail_norm:.3g}, v_delta {conv.v_delta:.3g})",
+                    best=rep,
+                    diagnostics=diagnostics,
+                )
+        except VardtfError as exc:
+            rep = exc
+        results.append(rep)
+    return results
 
 
 def marginal_representation(
@@ -260,21 +265,16 @@ def marginal_representation(
 ) -> MarginalAR:
     """True bivariate AR representation of a channel pair of a stable model.
 
-    Computes the model's exact autocovariances up to lag ``q_max``, then
-    runs the predictor recursion once, checking at the orders 4, 8, .. up
-    to ``q_max`` whether the last coefficient block has Frobenius norm
-    below ``tol`` and the innovation trace has stabilized to within ``tol``.
-
-    Raises
-    ------
-    NotConverged
-        Tolerance not reached by ``q_max``; the exception carries the best
-        representation (``best``) and per-order diagnostics.
+    The one-pair case of ``marginal_representations``, raising the pair's
+    error. The recursion stops at the first of the orders 4, 8, .., ``q_max``
+    where the last coefficient block has Frobenius norm below ``tol`` and the
+    innovation trace has stabilized to within ``tol``; ``NotConverged``, if
+    none does, carries the best representation and per-order diagnostics.
     """
-    pair.check_dim(model.dim)
-    check_settings(q_max, tol)
-    seq = subprocess_autocov(autocov(model, maxlag=q_max), pair)
-    return marginal_from_autocov(seq, pair, q_max, tol)
+    (result,) = marginal_representations(model, [pair], q_max, tol)
+    if isinstance(result, VardtfError):
+        raise result
+    return result
 
 
 def innovation_whiteness_check(

@@ -52,19 +52,23 @@ class AutocovSequence:
         return self.gammas[h] if h >= 0 else self.gammas[-h].T
 
 
+@np.errstate(over="raise", invalid="raise")
 def _solve_lyapunov_doubling(comp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # After k steps p = sum_{j < 2^k} C^j S C'^j and m = C^(2^k), so the
     # omitted tail is m p m' and the loop stops once that is below rounding.
     # A root at 1 - 1e-7 needs about 30 steps.
     p = rhs.copy()
     m = comp.copy()
-    for _ in range(200):
-        p = p + m @ p @ m.T
-        m = m @ m
-        if np.linalg.norm(m, "fro") ** 2 * np.linalg.norm(p, "fro") < 1e-16 * (
-            1.0 + np.linalg.norm(p, "fro")
-        ):
-            return p
+    try:
+        for _ in range(200):
+            p = p + m @ p @ m.T
+            m = m @ m
+            if np.linalg.norm(m, "fro") ** 2 * np.linalg.norm(p, "fro") < 1e-16 * (
+                1.0 + np.linalg.norm(p, "fro")
+            ):
+                return p
+    except FloatingPointError:
+        raise NoConvergence("state covariance overflows in the Lyapunov doubling") from None
     raise NoConvergence("doubling iteration for the Lyapunov equation stalled")
 
 

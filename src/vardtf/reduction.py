@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
-from .exceptions import DimensionTooSmall, ShapeMismatch
-from .model import ChannelPair, VarModel, counterexample_model
-from .moments import AutocovSequence
+from . import moments, spectral
+from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
+from .model import ChannelPair, VarModel, counterexample_model, make_var
+from .moments import AutocovSequence, subprocess_autocov
 from .spectral import FrequencyGrid, FrequencyMatrix, invert_pointwise
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
@@ -159,22 +159,24 @@ def is_white(spectrum: FrequencyMatrix) -> bool:
 def error_autocov(model: VarModel, pair: ChannelPair, maxlag: int) -> AutocovSequence:
     """Autocovariances E[e'(t) e'(t-h)'], h = 0..maxlag, of the reduction error.
 
-    Each is a Fourier coefficient int f(lambda) exp(i h lambda) dlambda of
-    the error spectrum, taken by inverse real FFT on N + 1 points of [0, pi],
-    N = maxlag + p + 1. When the removed block has no lags (A(u)[R, R] = 0),
-    A_RR = I and e' is a moving average of order p, so the FFT's period 2N
-    aliases no lag onto another and the result is exact up to rounding.
-    Other models raise ShapeMismatch, as does a negative ``maxlag``.
+    e' is a subprocess of the "cut" model, the copy of the model in which
+    the retained channels S drive nothing: A(u)[:, S] = 0 at every lag. Its
+    lag polynomial is [[I, A_SR], [0, A_RR]] in S/R blocks, so its retained
+    channels are X_S = E_S - A_SR A_RR^-1 E_R = e', whose autocovariances
+    the cut model's Lyapunov solve gives exactly. A removed block whose own
+    lag polynomial A_RR is not stable (e' is then not stationary) raises
+    ShapeMismatch, as does a negative ``maxlag``.
     """
-    _, removed = _split_indices(model.dim, pair)
-    if maxlag < 0:
-        raise ShapeMismatch("maxlag must be non-negative")
-    if any(np.any(a[np.ix_(removed, removed)] != 0.0) for a in model.coeffs):
-        raise ShapeMismatch("removed channels lag among themselves: not a finite moving average")
-    n = maxlag + model.order + 1
-    spectrum = error_spectral_matrix(model, pair, spectral.default_grid(n + 1)).values
-    gammas = 2.0 * np.pi * np.fft.irfft(spectrum, n=2 * n, axis=0)[: maxlag + 1]
-    return AutocovSequence(dim=2, maxlag=maxlag, gammas=gammas)
+    retained, _ = _split_indices(model.dim, pair)
+    coeffs = np.array(model.coeffs).reshape(model.order, model.dim, model.dim)
+    coeffs[:, :, retained] = 0.0
+    try:
+        cut = make_var(coeffs, model.sigma)
+    except Unstable as exc:
+        raise ShapeMismatch(
+            f"removed block A_RR is not stable (spectral radius {exc.spectral_radius:.6g})"
+        ) from None
+    return subprocess_autocov(moments.autocov(cut, maxlag), pair)
 
 
 def kaminski_error_lag_crosscov(model: VarModel) -> float:

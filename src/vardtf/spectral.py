@@ -192,7 +192,8 @@ def dtf(model: VarModel, grid: FrequencyGrid, normalized: bool = True) -> np.nda
     sum_m |H_jm|^2 so values lie in [0, 1].
 
     Normalization never moves a zero: an entry vanishes exactly when
-    H_jk(lambda) does.
+    H_jk(lambda) does, or when its modulus is below about 2^-537 times
+    its row's largest, where its square underflows.
 
     Raises
     ------
@@ -205,9 +206,13 @@ def dtf(model: VarModel, grid: FrequencyGrid, normalized: bool = True) -> np.nda
 
 def dtf_from_transfer(h: FrequencyMatrix, normalized: bool = True) -> np.ndarray:
     """Directed transfer function of an already-computed transfer function."""
-    power = np.abs(h.values) ** 2
+    modulus = np.abs(h.values)
     if not normalized:
-        return power
+        return modulus**2
+    # Scaling a row by a power of two is exact, so the ratios are those of |H|^2;
+    # by 2^-k, k the exponent of the row's largest modulus, no square overflows.
+    exponent = np.frexp(modulus.max(axis=2, keepdims=True))[1]
+    power = np.ldexp(modulus, -exponent) ** 2
     row_power = power.sum(axis=2, keepdims=True)
     degenerate = np.nonzero(row_power[:, :, 0] <= 0.0)
     if degenerate[0].size:

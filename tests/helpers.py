@@ -11,7 +11,7 @@ a time with Python's ``%``.
 import numpy as np
 from scipy.linalg import solve_discrete_are
 
-from vardtf import companion_matrix, make_var
+from vardtf import ChannelPair, companion_matrix, make_var
 
 
 def random_stable_model(seed, dim=3, order=2, radius=0.6, sigma="random", lagless=()):
@@ -26,7 +26,7 @@ def random_stable_model(seed, dim=3, order=2, radius=0.6, sigma="random", lagles
     block = np.ix_(list(lagless), list(lagless))
     for a in coeffs:
         a[block] = 0.0
-    rho = _companion_radius(coeffs, dim)
+    rho = companion_radius(coeffs)
     if rho > 0:
         scale = radius / rho
         coeffs = [a * scale ** (u + 1) for u, a in enumerate(coeffs)]
@@ -57,7 +57,7 @@ def dense_stable_model(seed, dim=3, order=2, radius=0.6):
         rng.uniform(0.2, 0.8, size=(dim, dim)) * rng.choice([-1.0, 1.0], size=(dim, dim))
         for _ in range(order)
     ]
-    rho = _companion_radius(coeffs, dim)
+    rho = companion_radius(coeffs)
     scale = radius / rho
     coeffs = [a * scale ** (u + 1) for u, a in enumerate(coeffs)]
     return make_var(coeffs, np.eye(dim))
@@ -74,15 +74,16 @@ def block_diagonal_model(seed, block_dims=(2, 2), order=2, radius=0.6):
         for a in coeffs:
             a[start:stop, start:stop] = rng.normal(scale=0.4, size=(bd, bd))
         start = stop
-    rho = _companion_radius(coeffs, dim)
+    rho = companion_radius(coeffs)
     if rho > 0:
         scale = radius / rho
         coeffs = [a * scale ** (u + 1) for u, a in enumerate(coeffs)]
     return make_var(coeffs, np.eye(dim))
 
 
-def _companion_radius(coeffs, dim):
-    p = len(coeffs)
+def companion_radius(coeffs):
+    """Largest eigenvalue modulus of the companion matrix of a list of lag matrices."""
+    p, dim = len(coeffs), coeffs[0].shape[0]
     comp = np.zeros((dim * p, dim * p))
     comp[:dim] = np.hstack(coeffs)
     if p > 1:
@@ -153,21 +154,25 @@ def block_substitution_reference(model, pair, lams):
 
 
 def riccati_innovation_cov(model, pair):
-    """Innovation covariance of a channel pair from a discrete Riccati equation.
+    """Innovation covariance of a channel subset from a discrete Riccati equation.
+
+    ``pair`` is a ChannelPair (target first, then source) or any sequence
+    of distinct channel indices, as for ``subprocess_autocov``.
 
     The state z(t) = [x(t-1); ..; x(t-p)] follows z(t+1) = F z(t) + G e(t)
-    with F the companion matrix and G = [I; 0], and the pair is observed as
-    y(t) = C z(t+1) = C F z(t) + C G e(t), C selecting its channels. With
+    with F the companion matrix and G = [I; 0], and the channels are
+    observed as y(t) = C z(t+1) = C F z(t) + C G e(t), C selecting them. With
     Q = G Sigma G', R = C Q C' and S = Q C', the Kalman filter's predicted
     state covariance P solves the DARE and V = (C F) P (C F)' + R, with no
-    truncation of the pair's infinite-order representation.
+    truncation of the subprocess's infinite-order representation.
     """
     d, p = model.dim, model.order
+    channels = list(pair.channels) if isinstance(pair, ChannelPair) else list(pair)
     f = companion_matrix(model)
     g = np.zeros((d * p, d))
     g[:d] = np.eye(d)
-    c = np.zeros((2, d * p))
-    c[[0, 1], list(pair.channels)] = 1.0
+    c = np.zeros((len(channels), d * p))
+    c[range(len(channels)), channels] = 1.0
     h = c @ f
     q = g @ model.sigma @ g.T
     r = c @ q @ c.T

@@ -417,6 +417,22 @@ def test_non_finite_coupling_is_usage_error(alpha, beta, capsys):
     assert "not finite" in _usage_error_line(capsys)
 
 
+@pytest.mark.parametrize("fs", ["nan", "inf", 0, -1])
+def test_sampling_rate_must_be_positive_and_finite(fs, capsys):
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--fs", fs, "--grid", 3) == 2
+    assert "--fs must be positive and finite" in _usage_error_line(capsys)
+
+
+def test_huge_coupling_keeps_a_finite_dtf(capsys):
+    # |alpha|^2 overflows a double, and so does the Lyapunov solve: the
+    # bivariate verdicts fail, and the DTF of 1<-3 still reads 1
+    assert run("granger", "--alpha", 1e200, "--beta", 1, "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    dtf = {(p["target"], p["source"]): p["max_dtf"] for p in doc["pairs"]}
+    assert dtf[(1, 3)] == 1
+    assert all(p["error"] is not None for p in doc["pairs"])
+
+
 def test_infinite_sampling_rate_is_usage_error(capsys):
     assert run("dtf", "--alpha", 1, "--beta", 1, "--fs", "inf", "--grid", 3) == 2
     assert "finite" in _usage_error_line(capsys)

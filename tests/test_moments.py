@@ -19,7 +19,7 @@ from vardtf import (
     spectral_density,
     subprocess_autocov,
 )
-from vardtf.exceptions import ShapeMismatch
+from vardtf.exceptions import NoConvergence, ShapeMismatch
 from vardtf.moments import _solve_lyapunov_doubling
 
 from helpers import block_toeplitz_reference, random_stable_model
@@ -166,6 +166,11 @@ class TestLyapunovSolvers:
         rhs[:9, :9] = m.sigma
         reference = scipy.linalg.solve_discrete_lyapunov(comp, rhs)
         assert_allclose(seq.gammas[0], reference[:9, :9], rtol=1e-9, atol=1e-10)
+
+    def test_overflowing_state_covariance_is_no_convergence(self):
+        # var X1 = 1 + alpha^2 is beyond the largest double
+        with pytest.raises(NoConvergence, match="overflows"):
+            autocov(counterexample_model(1e200, 1.0), maxlag=2)
 
     @pytest.mark.parametrize("root", [1 - 1e-7, -(1 - 1e-7)])
     def test_near_unit_root(self, root):

@@ -222,6 +222,21 @@ class TestDtf:
         assert np.array_equal(raw == 0.0, norm == 0.0)
         assert np.all(raw[:, 0, 1] == 0.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_scaling_is_exact(self, seed):
+        # each row is scaled by a power of two before squaring, which moves
+        # no bit of the ratios on a model whose squares do not overflow
+        m = random_stable_model(seed, dim=2 + seed % 4, order=1 + seed % 3, radius=0.7)
+        h = transfer_function(m, default_grid(257))
+        power = np.abs(h.values) ** 2
+        assert np.array_equal(dtf_from_transfer(h), power / power.sum(axis=2, keepdims=True))
+
+    def test_huge_row_does_not_overflow(self):
+        # |H[0, 2]| = 1e200 squares past the largest double unscaled
+        vals = dtf(counterexample_model(1e200, 1.0), default_grid(9))
+        assert np.all(np.isfinite(vals))
+        assert np.all(vals[:, 0, 2] == 1.0)
+
     def test_degenerate_row_reported(self):
         grid = default_grid(3)
         values = np.zeros((3, 2, 2), dtype=complex)
