@@ -103,9 +103,7 @@ def multivariate_gc(model: VarModel, pair: ChannelPair) -> tuple:
     tolerance is applied. Returns (flag, max absolute coefficient).
     """
     pair.check_dim(model.dim)
-    top = 0.0
-    for a in model.coeffs:
-        top = max(top, float(abs(a[pair.target, pair.source])))
+    top = float(np.max(np.abs(model.coeffs[:, pair.target, pair.source]), initial=0.0))
     return top != 0.0, top
 
 

@@ -7,8 +7,9 @@ input and output. Frequencies are radians per sample by default; passing
 converts a Hz band to the internal radian grid.
 
 Model files are JSON objects with exactly these keys: ``dim`` (channel
-count), ``order`` (lag count p), ``coeffs`` (list of p row-major d-by-d
-arrays, lag 1 first), ``sigma`` (row-major d-by-d innovation covariance).
+count) and ``order`` (lag count p), both integers, ``coeffs`` (list of p
+row-major d-by-d arrays, lag 1 first), ``sigma`` (row-major d-by-d
+innovation covariance).
 
 Exit codes: 0 success, 1 numerical failure (a ``NumericalError``, e.g. a
 non-converged marginalization), 2 usage / IO / parse error. Every error

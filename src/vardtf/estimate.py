@@ -20,37 +20,42 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 from .exceptions import RankDeficientRegressors, ShapeMismatch
 from .jsonio import write_csv
-from .model import VarModel, companion_matrix, make_var
+from .model import VarModel, companion_matrix
 from .moments import AutocovSequence
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated sample path with its provenance.
+    """Sample path with its provenance.
 
-    ``samples`` is a (length, dim) array, one row per time point.
+    ``samples`` is a (length, dim) array, one row per time point; ``length``
+    and ``dim`` are read off it. ``seed`` is the generator seed of a
+    simulated path, 0 for a path read from CSV.
     """
 
-    dim: int
-    length: int
     samples: np.ndarray
     seed: int
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        if samples.shape != (self.length, self.dim):
-            raise ShapeMismatch(
-                f"samples shape {samples.shape} inconsistent with "
-                f"length {self.length}, dim {self.dim}"
-            )
+        if samples.ndim != 2:
+            raise ShapeMismatch(f"samples has shape {samples.shape}, expected (length, dim)")
         if not np.all(np.isfinite(samples)):
             raise ShapeMismatch("trajectory contains non-finite values")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+
+    @property
+    def length(self) -> int:
+        return self.samples.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.samples.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +63,17 @@ class FitResult:
     """Least-squares VAR fit: model, per-coefficient standard errors, residuals.
 
     ``stderr[u-1, j, k]`` is the standard error of the lag-u coefficient of
-    channel k in channel j's equation.
+    channel k in channel j's equation; ``nobs``, the number of regression
+    rows, is read off the (nobs, d) residual array.
     """
 
     model: VarModel
     stderr: np.ndarray
     residuals: np.ndarray
-    nobs: int
+
+    @property
+    def nobs(self) -> int:
+        return self.residuals.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,20 +152,22 @@ def simulate(
         samples = eps[burn_in:]
     else:
         samples = _recurse(companion_matrix(model), eps)[burn_in:]
-    return Trajectory(dim=model.dim, length=length, samples=samples, seed=seed)
+    return Trajectory(samples, seed)
 
 
 def sample_autocov(samples: np.ndarray, maxlag: int) -> AutocovSequence:
     """Sample autocovariances Gamma_hat(0..maxlag) of a (T, d) array."""
     samples = np.asarray(samples, dtype=float)
     t_len, d = samples.shape
+    if maxlag < 0:
+        raise ShapeMismatch("maxlag must be non-negative")
     if maxlag >= t_len:
         raise ShapeMismatch("maxlag must be below the sample length")
     centered = samples - samples.mean(axis=0)
     gammas = np.empty((maxlag + 1, d, d))
     for h in range(maxlag + 1):
         gammas[h] = centered[h:].T @ centered[: t_len - h] / t_len
-    return AutocovSequence(dim=d, maxlag=maxlag, gammas=gammas)
+    return AutocovSequence(gammas)
 
 
 def _lag_matrix(samples: np.ndarray, order: int) -> np.ndarray:
@@ -198,20 +209,17 @@ def fit_var(traj: Trajectory, order: int) -> FitResult:
         ) from None
     coef = linalg.cho_solve(chol, design.T @ response)
     residuals = response - design @ coef
-    nobs = response.shape[0]
-    dof = nobs - ncoef
+    dof = response.shape[0] - ncoef
     sigma = residuals.T @ residuals / dof
 
     gram_inv = linalg.cho_solve(chol, np.eye(ncoef))
     # coef[(u-1)*d + k, j] is the lag-u weight of channel k in equation j.
-    coeffs = [coef[(u - 1) * d : u * d, :].T for u in range(1, order + 1)]
+    coeffs = coef.reshape(order, d, d).transpose(0, 2, 1)
     stderr = np.sqrt(
         sigma.diagonal()[None, :, None] * np.diag(gram_inv).reshape(order, 1, d)
     )
 
-    return FitResult(
-        model=make_var(coeffs, sigma), stderr=stderr, residuals=residuals, nobs=nobs
-    )
+    return FitResult(model=VarModel(coeffs, sigma), stderr=stderr, residuals=residuals)
 
 
 def whiteness_stats(
@@ -235,7 +243,7 @@ def whiteness_stats(
         statistic += float(np.trace(term)) / (t_len - lag)
     statistic *= t_len * t_len
     df = d * d * max(maxlag - df_model, 1)
-    p_value = float(stats.chi2.sf(statistic, df))
+    p_value = float(special.chdtrc(df, statistic))
     return WhitenessReport(
         lag_norms=np.max(np.abs(corr), axis=(1, 2)),
         statistic=statistic,
@@ -255,7 +263,7 @@ def write_trajectory(traj: Trajectory, fh) -> None:
     write_csv(fh, header, np.arange(traj.length), traj.samples)
 
 
-def read_trajectory(fh, seed: int = 0) -> Trajectory:
+def read_trajectory(fh) -> Trajectory:
     """Read a trajectory from the CSV format written by ``write_trajectory``."""
     header = fh.readline().strip().split(",")
     if not header or header[0] != "t":
@@ -276,5 +284,4 @@ def read_trajectory(fh, seed: int = 0) -> Trajectory:
         raise ShapeMismatch("trajectory CSV has no rows")
     if data.shape[1] != dim + 1:
         raise ShapeMismatch(f"trajectory rows have {data.shape[1]} cells, not {dim + 1}")
-    samples = data[:, 1:]
-    return Trajectory(dim=dim, length=samples.shape[0], samples=samples, seed=seed)
+    return Trajectory(data[:, 1:], seed=0)

@@ -62,14 +62,14 @@ class ConvergenceInfo:
 class MarginalAR:
     """Autoregressive representation of a retained channel pair.
 
-    ``phis[u-1]`` is the coefficient matrix at lag u; row/column 0 is the
+    ``phis`` is the (order_used, d, d) coefficient array, ``phis[u-1]`` the
+    matrix at lag u, and ``order_used`` is read off it; row/column 0 is the
     pair's target channel and 1 its source channel (positional when ``pair``
     is None, e.g. straight out of the recursion). ``innov_cov`` is the
     one-step prediction error covariance.
     """
 
     pair: ChannelPair | None
-    order_used: int
     phis: np.ndarray
     innov_cov: np.ndarray
     convergence: ConvergenceInfo
@@ -78,17 +78,16 @@ class MarginalAR:
     def __post_init__(self):
         phis = np.asarray(self.phis, dtype=float)
         v = np.asarray(self.innov_cov, dtype=float)
-        d = v.shape[0]
-        if phis.shape != (self.order_used, d, d):
-            raise ShapeMismatch(
-                f"phis shape {phis.shape} inconsistent with order {self.order_used}"
-            )
         if np.max(np.abs(v - v.T), initial=0.0) > 1e-10:
             raise ShapeMismatch("innovation covariance must be symmetric")
         phis.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "innov_cov", v)
+
+    @property
+    def order_used(self) -> int:
+        return self.phis.shape[0]
 
 
 def _levinson_whittle(
@@ -157,7 +156,6 @@ def _levinson_whittle(
     q = pred.shape[1]
     rep = MarginalAR(
         pair=pair,
-        order_used=q,
         phis=pred[0].copy(),  # not a view: the backward coefficients can be freed
         innov_cov=cov[0],
         convergence=ConvergenceInfo(

@@ -39,73 +39,73 @@ PSD_FLOOR = -1e-10
 
 @dataclass(frozen=True, eq=False)
 class VarModel:
-    """Validated stationary VAR(p) model.
+    """Validated stationary VAR(p) model, ``VarModel(coeffs, sigma)``.
 
     Attributes
     ----------
-    dim : int
-        Number of channels d.
-    order : int
-        Autoregressive order p (0 means white noise).
-    coeffs : tuple of np.ndarray
-        p real d-by-d lag coefficient matrices, lag 1 first.
+    coeffs : np.ndarray
+        The (p, d, d) lag coefficient array, ``coeffs[u-1]`` = A(u); a
+        sequence of p d-by-d matrices is stacked into it, and p = 0
+        (shape (0, d, d)) is white noise.
     sigma : np.ndarray
         Real symmetric PSD d-by-d innovation covariance.
     spectral_radius : float
         Largest eigenvalue modulus of the companion matrix (derived, not
         an init argument).
 
+    ``dim`` (d) and ``order`` (p) are read off ``sigma`` and ``coeffs``.
     Instances are immutable (arrays are write-protected) and safe to share
     across threads.
     """
 
-    dim: int
-    order: int
-    coeffs: tuple
+    coeffs: np.ndarray
     sigma: np.ndarray
     spectral_radius: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple(np.array(a, dtype=float) for a in self.coeffs)
         sigma = np.array(self.sigma, dtype=float)
-        if sigma.shape != (self.dim, self.dim):
-            raise ShapeMismatch(
-                f"sigma has shape {sigma.shape}, expected ({self.dim}, {self.dim})"
-            )
-        if len(coeffs) != self.order:
-            raise ShapeMismatch(
-                f"got {len(coeffs)} coefficient matrices for order {self.order}"
-            )
-        for u, a in enumerate(coeffs, start=1):
-            if a.shape != (self.dim, self.dim):
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+            raise ShapeMismatch(f"sigma has shape {sigma.shape}, expected a square matrix")
+        d = sigma.shape[0]
+        mats = [np.asarray(a, dtype=float) for a in self.coeffs]
+        for u, a in enumerate(mats, start=1):
+            if a.shape != (d, d):
                 raise ShapeMismatch(
-                    f"coefficient matrix for lag {u} has shape {a.shape}, "
-                    f"expected ({self.dim}, {self.dim})"
+                    f"coefficient matrix for lag {u} has shape {a.shape}, expected ({d}, {d})"
                 )
             if not np.all(np.isfinite(a)):
                 raise ShapeMismatch(f"coefficient matrix for lag {u} is not finite")
         _check_covariance(sigma)
+        coeffs = np.array(mats).reshape(len(mats), d, d)
 
         rho = 0.0
-        if self.order > 0:
-            comp = _companion(coeffs, self.dim)
-            rho = float(np.max(np.abs(np.linalg.eigvals(comp))))
+        if mats:
+            rho = float(np.max(np.abs(np.linalg.eigvals(_companion(coeffs)))))
             if rho >= 1.0 - STABILITY_MARGIN:
                 raise Unstable(rho)
 
-        for a in coeffs:
-            a.setflags(write=False)
+        coeffs.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "spectral_radius", rho)
+
+    @property
+    def dim(self) -> int:
+        """Number of channels d."""
+        return self.sigma.shape[0]
+
+    @property
+    def order(self) -> int:
+        """Autoregressive order p (0 means white noise)."""
+        return self.coeffs.shape[0]
 
     def to_dict(self) -> dict:
         """Plain-data form with keys dim, order, coeffs, sigma."""
         return {
             "dim": self.dim,
             "order": self.order,
-            "coeffs": [a.tolist() for a in self.coeffs],
+            "coeffs": self.coeffs.tolist(),
             "sigma": self.sigma.tolist(),
         }
 
@@ -156,23 +156,25 @@ def _check_covariance(sigma: np.ndarray) -> None:
         )
 
 
-def _companion(coeffs: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    p = len(coeffs)
-    comp = np.zeros((dim * p, dim * p))
-    comp[:dim] = np.hstack(coeffs)
+def _companion(coeffs: np.ndarray) -> np.ndarray:
+    p, d = coeffs.shape[0], coeffs.shape[1]
+    comp = np.zeros((d * p, d * p))
+    comp[:d] = coeffs.transpose(1, 0, 2).reshape(d, d * p)
     if p > 1:
-        comp[dim:, : dim * (p - 1)] = np.eye(dim * (p - 1))
+        comp[d:, : d * (p - 1)] = np.eye(d * (p - 1))
     return comp
 
 
 def make_var(coeffs: Sequence, sigma) -> VarModel:
     """Build and validate a VAR model from lag matrices and innovation covariance.
 
+    ``VarModel(coeffs, sigma)`` with scalars promoted to 1-by-1 matrices.
+
     Parameters
     ----------
     coeffs : sequence of array_like
-        Lag coefficient matrices A(1)..A(p), each d-by-d. An empty sequence
-        defines a white-noise process.
+        Lag coefficient matrices A(1)..A(p), each d-by-d, or a (p, d, d)
+        array. An empty sequence defines a white-noise process.
     sigma : array_like
         Innovation covariance, d-by-d symmetric positive semi-definite.
 
@@ -186,10 +188,7 @@ def make_var(coeffs: Sequence, sigma) -> VarModel:
     Unstable
         Companion spectral radius at or above one.
     """
-    sigma = np.atleast_2d(np.array(sigma, dtype=float))
-    dim = sigma.shape[0]
-    coeffs = tuple(np.atleast_2d(np.array(a, dtype=float)) for a in coeffs)
-    return VarModel(dim=dim, order=len(coeffs), coeffs=coeffs, sigma=sigma)
+    return VarModel([np.atleast_2d(a) for a in coeffs], np.atleast_2d(sigma))
 
 
 def counterexample_model(alpha: float, beta: float) -> VarModel:
@@ -223,7 +222,7 @@ def companion_matrix(model: VarModel) -> np.ndarray:
     """
     if model.order == 0:
         raise OrderZero("companion matrix undefined for order-0 models")
-    return _companion(model.coeffs, model.dim)
+    return _companion(model.coeffs)
 
 
 def write_model(model: VarModel, path) -> None:
@@ -237,8 +236,12 @@ def model_from_dict(doc: dict) -> VarModel:
     for key in ("dim", "order", "coeffs", "sigma"):
         if key not in doc:
             raise ShapeMismatch(f"model document missing field '{key}'")
-    dim = int(doc["dim"])
-    order = int(doc["order"])
+    dim, order = doc["dim"], doc["order"]
+    for key, value in (("dim", dim), ("order", order)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ShapeMismatch(f"model document field '{key}' must be an integer, got {value!r}")
+    if not isinstance(doc["coeffs"], list):
+        raise ShapeMismatch("model document field 'coeffs' must be a list of lag matrices")
     coeffs = [np.array(a, dtype=float) for a in doc["coeffs"]]
     sigma = np.array(doc["sigma"], dtype=float)
     if len(coeffs) != order:

@@ -28,28 +28,26 @@ LYAPUNOV_RESIDUAL_TOL = 1e-10
 class AutocovSequence:
     """Autocovariances Gamma(0..maxlag), with Gamma(-h) = Gamma(h)' implied.
 
-    ``gammas[h]`` is the real d-by-d matrix E[X(t) X(t-h)'].
+    ``gammas[h]`` is the real d-by-d matrix E[X(t) X(t-h)']; ``dim`` (d)
+    and ``maxlag`` are read off the (maxlag + 1, d, d) array.
     """
 
-    dim: int
-    maxlag: int
     gammas: np.ndarray
 
     def __post_init__(self):
         g = np.asarray(self.gammas, dtype=float)
-        if g.shape != (self.maxlag + 1, self.dim, self.dim):
-            raise ShapeMismatch(
-                f"gammas shape {g.shape} inconsistent with dim {self.dim}, "
-                f"maxlag {self.maxlag}"
-            )
+        if g.ndim != 3 or g.shape[0] < 1 or g.shape[1] != g.shape[2]:
+            raise ShapeMismatch(f"gammas has shape {g.shape}, expected (maxlag + 1, d, d)")
         g.setflags(write=False)
         object.__setattr__(self, "gammas", g)
 
-    def gamma(self, h: int) -> np.ndarray:
-        """Gamma(h) for any integer lag, using Gamma(-h) = Gamma(h)'."""
-        if abs(h) > self.maxlag:
-            raise ShapeMismatch(f"lag {h} beyond stored maxlag {self.maxlag}")
-        return self.gammas[h] if h >= 0 else self.gammas[-h].T
+    @property
+    def dim(self) -> int:
+        return self.gammas.shape[1]
+
+    @property
+    def maxlag(self) -> int:
+        return self.gammas.shape[0] - 1
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -93,7 +91,7 @@ def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:
     gammas = np.zeros((maxlag + 1, d, d))
     if p == 0:
         gammas[0] = model.sigma
-        return AutocovSequence(dim=d, maxlag=maxlag, gammas=gammas)
+        return AutocovSequence(gammas)
 
     comp = companion_matrix(model)
     rhs = np.zeros_like(comp)
@@ -116,7 +114,7 @@ def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:
         for u in range(1, p + 1):
             acc += model.coeffs[u - 1] @ gammas[h - u]
         gammas[h] = acc
-    return AutocovSequence(dim=d, maxlag=maxlag, gammas=gammas)
+    return AutocovSequence(gammas)
 
 
 def subprocess_autocov(seq: AutocovSequence, pair) -> AutocovSequence:
@@ -133,9 +131,7 @@ def subprocess_autocov(seq: AutocovSequence, pair) -> AutocovSequence:
         if not 0 <= ch < seq.dim:
             raise ShapeMismatch(f"channel {ch} out of range for dim {seq.dim}")
     rows, cols = np.ix_(channels, channels)
-    return AutocovSequence(
-        dim=len(channels), maxlag=seq.maxlag, gammas=seq.gammas[:, rows, cols]
-    )
+    return AutocovSequence(seq.gammas[:, rows, cols])
 
 
 def block_toeplitz(seq: AutocovSequence, nblocks: int | None = None) -> np.ndarray:

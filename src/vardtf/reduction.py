@@ -27,7 +27,7 @@ import numpy as np
 
 from . import moments, spectral
 from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
-from .model import ChannelPair, VarModel, counterexample_model, make_var
+from .model import ChannelPair, VarModel, counterexample_model
 from .moments import AutocovSequence, subprocess_autocov
 from .spectral import FrequencyGrid, FrequencyMatrix, invert_pointwise
 
@@ -168,10 +168,10 @@ def error_autocov(model: VarModel, pair: ChannelPair, maxlag: int) -> AutocovSeq
     ShapeMismatch, as does a negative ``maxlag``.
     """
     retained, _ = _split_indices(model.dim, pair)
-    coeffs = np.array(model.coeffs).reshape(model.order, model.dim, model.dim)
+    coeffs = model.coeffs.copy()
     coeffs[:, :, retained] = 0.0
     try:
-        cut = make_var(coeffs, model.sigma)
+        cut = VarModel(coeffs, model.sigma)
     except Unstable as exc:
         raise ShapeMismatch(
             f"removed block A_RR is not stable (spectral radius {exc.spectral_radius:.6g})"

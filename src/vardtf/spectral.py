@@ -84,13 +84,6 @@ class FrequencyMatrix:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dim(self) -> int:
-        rows, cols = self.values.shape[1:]
-        if rows != cols:
-            raise ShapeMismatch("dim is only defined for square values")
-        return rows
-
 
 def lag_polynomial(coeffs: np.ndarray, grid: FrequencyGrid) -> FrequencyMatrix:
     """I - sum_u C(u) exp(-i u lambda) on the grid, for a (p, d, d) lag array.
@@ -111,8 +104,7 @@ def char_polynomial(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     A(0) equals I minus the sum of all lag matrices; a white-noise model
     yields the identity at every frequency.
     """
-    coeffs = np.array(model.coeffs).reshape(model.order, model.dim, model.dim)
-    return lag_polynomial(coeffs, grid)
+    return lag_polynomial(model.coeffs, grid)
 
 
 def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:

@@ -158,12 +158,7 @@ def test_criterion_7_marginal_vs_ols():
         model = random_stable_model(1000 + i, dim=3, order=2, radius=0.5)
         rep = marginal_representation(model, PAIR12)
         traj = simulate(model, 1_000_000, seed=2000 + i, burn_in=1000)
-        sub = Trajectory(
-            dim=2,
-            length=traj.length,
-            samples=traj.samples[:, [0, 1]],
-            seed=traj.seed,
-        )
+        sub = Trajectory(samples=traj.samples[:, [0, 1]], seed=traj.seed)
         fit = fit_var(sub, rep.order_used)
         dev = np.abs(np.stack(fit.model.coeffs) - rep.phis)
         within = dev <= 3.0 * fit.stderr

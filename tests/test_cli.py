@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vardtf
 from vardtf import (
     ChannelPair,
     counterexample_model,
@@ -473,3 +477,44 @@ def test_exit_code_follows_the_error_taxonomy(cls, monkeypatch, capsys):
 def test_numerical_errors_share_one_base():
     numerical = {c.__name__ for c in ERROR_CLASSES if issubclass(c, NumericalError)}
     assert numerical == NUMERICAL_ERRORS
+
+
+@pytest.mark.parametrize("maxlag", [-1, -5])
+def test_negative_fit_maxlag_is_usage_error(maxlag, tmp_path, capsys):
+    assert run("simulate", "--alpha", 1, "--beta", 1, "--length", 200, "--out", tmp_path) == 0
+    capsys.readouterr()
+    data = tmp_path / "trajectory.csv"
+    assert run("fit", "--data", data, "--order", 1, "--maxlag", maxlag) == 2
+    assert "maxlag must be non-negative" in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("dim", True), ("dim", 1.0), ("dim", "1"), ("order", True), ("order", 1.5), ("order", "1")],
+)
+def test_non_integer_model_counts_are_usage_errors(key, value, tmp_path, capsys):
+    doc = make_var([[[0.5]]], [[1.0]]).to_dict()
+    doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run("granger", "--model", path, "--json") == 2
+    assert f"'{key}' must be an integer" in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize("coeffs", [5, None])
+def test_non_list_model_coeffs_are_usage_errors(coeffs, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dim": 1, "order": 0, "coeffs": coeffs, "sigma": [[1.0]]}))
+    assert run("granger", "--model", path, "--json") == 2
+    assert "'coeffs' must be a list" in _usage_error_line(capsys)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and the CLI needs none of it
+    src = str(Path(vardtf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, vardtf.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from vardtf import (
     autocov,
@@ -139,9 +140,7 @@ class TestFitVar:
 
     def test_bivariate_fit_recovers_marginal_coefficient(self):
         traj = simulate(counterexample_model(1.0, 1.0), 1_000_000, seed=17)
-        sub = Trajectory(
-            dim=2, length=traj.length, samples=traj.samples[:, [0, 1]], seed=17
-        )
+        sub = Trajectory(samples=traj.samples[:, [0, 1]], seed=17)
         fit = fit_var(sub, 4)
         assert abs(fit.model.coeffs[0][0, 1] - 0.5) < 3 * fit.stderr[0, 0, 1]
         assert abs(fit.model.coeffs[0][1, 0]) < 3 * fit.stderr[0, 1, 0]
@@ -185,13 +184,13 @@ class TestFitVar:
     def test_rank_deficient(self):
         samples = np.zeros((500, 2))
         samples[:, 0] = np.random.default_rng(0).normal(size=500)
-        traj = Trajectory(dim=2, length=500, samples=samples, seed=0)
+        traj = Trajectory(samples=samples, seed=0)
         with pytest.raises(RankDeficientRegressors):
             fit_var(traj, 1)
 
     def test_too_short(self):
         samples = np.random.default_rng(0).normal(size=(5, 2))
-        traj = Trajectory(dim=2, length=5, samples=samples, seed=0)
+        traj = Trajectory(samples=samples, seed=0)
         with pytest.raises(ShapeMismatch):
             fit_var(traj, 2)
 
@@ -244,6 +243,17 @@ class TestResidualWhiteness:
         with pytest.raises(ShapeMismatch):
             whiteness_stats(np.zeros((10, 2)), maxlag=10)
 
+    @pytest.mark.parametrize("maxlag", [-1, -5])
+    def test_negative_maxlag_rejected(self, maxlag):
+        with pytest.raises(ShapeMismatch, match="maxlag must be non-negative"):
+            sample_autocov(np.ones((10, 2)), maxlag)
+
+    def test_p_value_is_the_chi_square_tail(self):
+        rng = np.random.default_rng(3)
+        for maxlag, residuals in ((2, rng.normal(size=(300, 2))), (12, rng.normal(size=(80, 3)))):
+            rep = whiteness_stats(residuals, maxlag)
+            assert rep.p_value == float(stats.chi2.sf(rep.statistic, rep.df))
+
 
 class TestTrajectoryIo:
     def test_round_trip(self):
@@ -251,7 +261,7 @@ class TestTrajectoryIo:
         buf = io.StringIO()
         write_trajectory(traj, buf)
         buf.seek(0)
-        back = read_trajectory(buf, seed=9)
+        back = read_trajectory(buf)
         assert back.dim == traj.dim
         assert back.length == traj.length
         assert np.array_equal(back.samples, traj.samples)
@@ -288,4 +298,4 @@ class TestTrajectoryIo:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ShapeMismatch):
-            Trajectory(dim=1, length=2, samples=np.array([[1.0], [np.nan]]), seed=0)
+            Trajectory(samples=np.array([[1.0], [np.nan]]), seed=0)

@@ -138,13 +138,13 @@ class TestWhittleRecursion:
 
     def test_singular_toeplitz(self):
         gammas = np.ones((3, 2, 2))
-        seq = AutocovSequence(dim=2, maxlag=2, gammas=gammas)
+        seq = AutocovSequence(gammas=gammas)
         with pytest.raises(SingularToeplitz):
             whittle_recursion(seq, 2)
 
     def test_numerical_breakdown_on_invalid_acov(self):
         gammas = np.array([[[1.0]], [[0.9]], [[0.2]]])
-        seq = AutocovSequence(dim=1, maxlag=2, gammas=gammas)
+        seq = AutocovSequence(gammas=gammas)
         with pytest.raises(NumericalBreakdown):
             whittle_recursion(seq, 2)
 
@@ -212,12 +212,7 @@ class TestMarginalRepresentation:
         m = random_stable_model(seed, dim=dim, order=2, radius=0.5)
         rep = marginal_representation(m, PAIR12)
         traj = simulate(m, 200_000, seed=5, burn_in=1000)
-        sub = Trajectory(
-            dim=2,
-            length=traj.length,
-            samples=traj.samples[:, [0, 1]],
-            seed=traj.seed,
-        )
+        sub = Trajectory(samples=traj.samples[:, [0, 1]], seed=traj.seed)
         fit = fit_var(sub, rep.order_used)
         dev = np.abs(np.stack(fit.model.coeffs) - rep.phis)
         within = dev <= 4.0 * fit.stderr

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -87,7 +89,7 @@ class TestMakeVar:
         m = make_var([[[0.5]]], [[1.0]])
         assert m.spectral_radius == 0.5
         with pytest.raises(TypeError):
-            VarModel(dim=1, order=0, coeffs=(), sigma=[[1.0]], spectral_radius=0.5)
+            VarModel(coeffs=np.zeros((0, 1, 1)), sigma=[[1.0]], spectral_radius=0.5)
 
     def test_model_immutable(self):
         m = counterexample_model(1.0, 1.0)
@@ -184,6 +186,25 @@ class TestSerialization:
     def test_missing_field_named(self):
         with pytest.raises(ShapeMismatch, match="sigma"):
             model_from_dict({"dim": 2, "order": 0, "coeffs": []})
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("dim", True), ("dim", 1.0), ("dim", "1"), ("order", True), ("order", 1.5), ("order", "1")],
+    )
+    def test_declared_counts_must_be_integers(self, key, value, tmp_path):
+        # a 1-channel, order-1 model: int() of each value matches its arrays
+        doc = make_var([[[0.5]]], [[1.0]]).to_dict()
+        doc[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ShapeMismatch, match=f"'{key}' must be an integer"):
+            read_model(path)
+
+    @pytest.mark.parametrize("coeffs", [5, None, {}, "a"])
+    def test_coeffs_must_be_a_list(self, coeffs):
+        doc = {"dim": 1, "order": 0, "coeffs": coeffs, "sigma": [[1.0]]}
+        with pytest.raises(ShapeMismatch, match="'coeffs' must be a list"):
+            model_from_dict(doc)
 
     def test_inconsistent_declared_order(self):
         doc = counterexample_model(1.0, 1.0).to_dict()

@@ -61,10 +61,6 @@ class TestAutocov:
         with pytest.raises(ShapeMismatch):
             autocov(random_stable_model(0), maxlag=-1)
 
-    def test_gamma_negative_lag_transpose(self):
-        seq = autocov(random_stable_model(5), maxlag=6)
-        assert_allclose(seq.gamma(-3), seq.gammas[3].T)
-
     def test_matches_simulation(self):
         m = random_stable_model(11, dim=3, order=2, radius=0.6)
         exact = autocov(m, maxlag=5)
