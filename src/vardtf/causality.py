@@ -18,7 +18,7 @@ question is about the measures themselves rather than estimation error.
 
 A report makes one transfer-function evaluation and one call of
 ``marginal.marginal_representations`` (one autocovariance solve, one
-recursion pass per pair) per model, and only assembles the verdicts. It
+batched recursion) per model, and only assembles the verdicts. It
 keeps H, and each pair's representation (or the error that replaced it) on
 the verdict, so callers reuse them instead of computing them again.
 """

@@ -70,8 +70,7 @@ def _make_grid(args) -> spectral.FrequencyGrid:
         lo, hi = float(parts[0]), float(parts[1])
     if not 0.0 <= lo < hi <= fs / 2.0 + 1e-12:
         raise ValueError("--band must satisfy 0 <= LO < HI <= fs/2")
-    points = np.linspace(2.0 * np.pi * lo / fs, 2.0 * np.pi * hi / fs, count)
-    return spectral.FrequencyGrid(points)
+    return spectral.default_grid(count, 2.0 * np.pi * lo / fs, 2.0 * np.pi * hi / fs)
 
 
 def _resolve(args) -> argparse.Namespace:

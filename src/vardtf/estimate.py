@@ -228,9 +228,13 @@ def whiteness_stats(
     """Portmanteau whiteness diagnostics of a residual array.
 
     ``df_model`` is the fitted VAR order; it reduces the chi-square degrees
-    of freedom to d^2 (maxlag - df_model). Correct white residuals give each
-    lag correlation entries of size O(1/sqrt(T)).
+    of freedom to d^2 (maxlag - df_model), so ``maxlag`` must exceed it: with
+    no degrees of freedom left the test has no reference distribution.
+    Correct white residuals give each lag correlation entries of size
+    O(1/sqrt(T)).
     """
+    if 0 <= maxlag <= df_model:  # a negative maxlag gets sample_autocov's message
+        raise ShapeMismatch(f"maxlag must exceed the fitted order {df_model}, got {maxlag}")
     acov = sample_autocov(residuals, maxlag)
     t_len, d = np.shape(residuals)
     c0_inv = np.linalg.solve(acov.gammas[0], np.eye(d))
@@ -242,7 +246,7 @@ def whiteness_stats(
         term = c.T @ c0_inv @ c @ c0_inv
         statistic += float(np.trace(term)) / (t_len - lag)
     statistic *= t_len * t_len
-    df = d * d * max(maxlag - df_model, 1)
+    df = d * d * (maxlag - df_model)
     p_value = float(special.chdtrc(df, statistic))
     return WhitenessReport(
         lag_norms=np.max(np.abs(corr), axis=(1, 2)),

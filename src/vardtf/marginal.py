@@ -11,9 +11,10 @@ Marginal representations are generically of infinite order with
 geometrically decaying tails, so the driver grows the order until the last
 coefficient block and the innovation-trace decrement both fall below a
 tolerance. ``marginal_representations`` solves a model's autocovariances
-once and selects each pair's from them; one recursion pass per pair is
-checked for convergence at the orders 4, 8, .., and the block-Toeplitz
-condition number is taken only at the order returned.
+once, stacks the requested pairs' and runs one recursion over the stack,
+checked for convergence at the orders 4, 8, ..: each pair leaves the batch
+at its first converging order, and its block-Toeplitz condition number is
+taken only at the order returned.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .exceptions import (
     VardtfError,
 )
 from .model import ChannelPair, VarModel
-from .moments import AutocovSequence, block_toeplitz, subprocess_autocov
+from .moments import AutocovSequence, block_toeplitz
 from .reduction import whiteness_deficit
 from .spectral import FrequencyMatrix, density_from_transfer, lag_polynomial
 
@@ -42,6 +43,10 @@ INNOV_PSD_FLOOR = -1e-8
 #: Default cap for the predictor order and default tail tolerance.
 DEFAULT_Q_MAX = 128
 DEFAULT_TOL = 1e-8
+
+#: Largest accepted order cap. Gamma(0..q_max), and each pair's copy of it,
+#: are allocated before the recursion starts, so the cap bounds that memory.
+Q_MAX_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,6 @@ class MarginalAR:
     def __post_init__(self):
         phis = np.asarray(self.phis, dtype=float)
         v = np.asarray(self.innov_cov, dtype=float)
-        if np.max(np.abs(v - v.T), initial=0.0) > 1e-10:
-            raise ShapeMismatch("innovation covariance must be symmetric")
         phis.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "phis", phis)
@@ -90,117 +93,130 @@ class MarginalAR:
         return self.phis.shape[0]
 
 
-def _levinson_whittle(
-    acov: AutocovSequence, orders: Sequence[int], tol: float, pair: ChannelPair | None = None
-) -> tuple:
-    """Run the recursion to ``orders[-1]``; stop at the first listed order that converges.
+def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs) -> list:
+    """Run the recursion on a stack of sequences; each stops at its first converging order.
 
-    At each order of the increasing sequence ``orders`` the step's tail,
-    {tail_norm, v_delta}, is recorded, and the first order where both fall
-    below ``tol`` ends the recursion. Returns (the MarginalAR at the order
-    where it stopped, the records by order); the block-Toeplitz condition
-    number is taken only at that order.
+    ``gams`` is a (P, maxlag + 1, d, d) stack of autocovariance sequences,
+    recursed together along a leading batch axis. At each of the increasing
+    ``orders`` each running sequence's {tail_norm, v_delta} is recorded;
+    those with both below ``tol`` leave the batch, and at ``orders[-1]`` the
+    rest. A singular prediction-error covariance, or an innovation
+    covariance below the PSD floor, takes only its own sequence out. Returns,
+    aligned with ``gams``, the MarginalAR of ``pairs[k]`` where it stopped,
+    a NotConverged carrying it and the records by order, or the error.
 
     Forward and backward quantities are stacked, so each step updates both
     predictors at every lag, and both error covariances, in single array
     operations; ``delta`` subtracts the lag terms from Gamma(n+1) in lag
-    order.
+    order. Every operation acts on each sequence's own matrices, so a
+    sequence gets the same bits in any batch, alone included.
     """
     if orders[-1] < 0:
         raise ShapeMismatch("order must be non-negative")
-    if orders[-1] > acov.maxlag:
-        raise ShapeMismatch(f"order {orders[-1]} exceeds available lags {acov.maxlag}")
-    d = acov.dim
-    gam = acov.gammas
+    if orders[-1] > gams.shape[1] - 1:
+        raise ShapeMismatch(f"order {orders[-1]} exceeds available lags {gams.shape[1] - 1}")
+    count, d = gams.shape[0], gams.shape[2]
+    results: list = [None] * count
+    diagnostics: list = [{} for _ in range(count)]
 
-    # pred[0, u-1], pred[1, u-1]: forward and backward coefficients at lag u;
-    # cov[0], cov[1]: forward and backward error covariances.
-    pred = np.zeros((2, 0, d, d))
-    cov = np.array((gam[0], gam[0]))
-    trace_v = float(np.trace(cov[0]))
-    tail_norm = v_delta = np.inf
-    diagnostics: dict = {}
+    # The running sequences: g[i] is gams[active[i]]; pred[i, 0, u-1] and
+    # pred[i, 1, u-1] are its forward and backward coefficients at lag u,
+    # cov[i, 0] and cov[i, 1] its forward and backward error covariances.
+    active, g = np.arange(count), gams
+    pred = np.zeros((count, 2, 0, d, d))
+    cov = np.stack((g[:, 0], g[:, 0]), axis=1)
+
+    def stop(i, tail) -> None:  # the running sequence i stops at this order
+        k = active[i]
+        # the block-Toeplitz matrix is symmetric PSD, so its singular values
+        # are its |eigenvalues|: eigvalsh gives the SVD's condition number
+        toeplitz = block_toeplitz(AutocovSequence(g[i]), max(pred.shape[2], 1))
+        eig = np.abs(np.linalg.eigvalsh(toeplitz))
+        cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
+        # copies, not views, so that the batch's arrays can be freed
+        rep = MarginalAR(pairs[k], pred[i, 0].copy(), cov[i, 0].copy(), tail, cond)
+        results[k] = rep if tail.converged else NotConverged(
+            f"marginal representation not converged by order {orders[-1]} "
+            f"(tail {tail.tail_norm:.3g}, v_delta {tail.v_delta:.3g})",
+            best=rep,
+            diagnostics=diagnostics[k],
+        )
 
     for n in range(orders[-1]):
         delta = np.subtract.reduce(
-            np.concatenate((gam[n + 1][None], pred[0] @ gam[n:0:-1])), axis=0
+            np.concatenate((g[:, n + 1, None], pred[:, 0] @ g[:, n:0:-1]), axis=1), axis=1
         )
-        rhs = np.array((delta.T, delta))
+        rhs = np.stack((delta.transpose(0, 2, 1), delta), axis=1)
+        lhs = cov[:, ::-1].transpose(0, 1, 3, 2)
         try:
             # forward gain delta w^-1, backward gain delta' v^-1
-            gains = np.linalg.solve(cov[::-1].transpose(0, 2, 1), rhs).transpose(0, 2, 1)
-        except np.linalg.LinAlgError:
-            raise SingularToeplitz(
-                f"prediction-error covariance singular at order {n + 1}"
-            ) from None
+            gains = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:  # one singular system fails the whole batch
+            ok = np.ones(active.size, bool)
+            for i in range(active.size):
+                try:
+                    np.linalg.solve(lhs[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+                    results[active[i]] = SingularToeplitz(
+                        f"prediction-error covariance singular at order {n + 1}"
+                    )
+            active, g, pred, cov, lhs, rhs = (x[ok] for x in (active, g, pred, cov, lhs, rhs))
+            gains = np.linalg.solve(lhs, rhs)
+        gains = gains.transpose(0, 1, 3, 2)
 
         pred = np.concatenate(
-            (pred - gains[:, None] @ pred[::-1, ::-1], gains[:, None]), axis=1
+            (pred - gains[:, :, None] @ pred[:, ::-1, ::-1], gains[:, :, None]), axis=2
         )
+        trace_v = np.trace(cov[:, 0], axis1=1, axis2=2)
         cov = cov - gains @ rhs
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-        eig_min = float(np.linalg.eigvalsh(cov[0])[0])
-        if eig_min < INNOV_PSD_FLOOR:
-            raise NumericalBreakdown(
-                f"innovation covariance eigenvalue {eig_min:.3g} at order {n + 1}"
+        cov = 0.5 * (cov + cov.transpose(0, 1, 3, 2))
+        eig_min = np.linalg.eigvalsh(cov[:, 0])[:, 0]
+        v_delta = np.abs(trace_v - np.trace(cov[:, 0], axis1=1, axis2=2))
+        leave = eig_min < INNOV_PSD_FLOOR
+        for k, eig in zip(active[leave], eig_min[leave]):
+            results[k] = NumericalBreakdown(
+                f"innovation covariance eigenvalue {eig:.3g} at order {n + 1}"
             )
-        trace_next = float(np.trace(cov[0]))
-        tail_norm = float(np.linalg.norm(gains[0], "fro"))
-        v_delta = abs(trace_v - trace_next)
-        trace_v = trace_next
         if n + 1 in orders:
-            diagnostics[n + 1] = {"tail_norm": tail_norm, "v_delta": v_delta}
-            if tail_norm < tol and v_delta < tol:
-                break
-
-    q = pred.shape[1]
-    rep = MarginalAR(
-        pair=pair,
-        phis=pred[0].copy(),  # not a view: the backward coefficients can be freed
-        innov_cov=cov[0],
-        convergence=ConvergenceInfo(
-            tail_norm=tail_norm,
-            v_delta=v_delta,
-            converged=bool(tail_norm < tol and v_delta < tol),
-        ),
-        toeplitz_cond=float(np.linalg.cond(block_toeplitz(acov, max(q, 1)))),
-    )
-    return rep, diagnostics
+            for i in np.flatnonzero(~leave):
+                # the norm of one 2-D block, as a recursion of one takes it
+                tail_norm = float(np.linalg.norm(gains[i, 0], "fro"))
+                tail = ConvergenceInfo(
+                    tail_norm, float(v_delta[i]), bool(tail_norm < tol and v_delta[i] < tol)
+                )
+                diagnostics[active[i]][n + 1] = {"tail_norm": tail_norm, "v_delta": tail.v_delta}
+                if tail.converged or n + 1 == orders[-1]:
+                    stop(i, tail)
+                    leave[i] = True
+        active, g, pred, cov = (x[~leave] for x in (active, g, pred, cov))
+        if not active.size:
+            break
+    for i in range(active.size):  # left running only at order 0: no step was taken
+        stop(i, ConvergenceInfo(np.inf, np.inf, False))
+    return results
 
 
 def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -> MarginalAR:
     """Forward predictor of order ``q`` from autocovariances, by Levinson-Whittle.
 
-    Solves the block Yule-Walker system
+    Solves the block Yule-Walker system Gamma(v) = sum_u Phi(u) Gamma(v - u),
+    v = 1..q, recursively in the order; the innovation covariance
+    V = Gamma(0) - sum_u Phi(u) Gamma(u)' has a trace non-increasing in q.
+    ``q`` = 0 gives the trivial predictor, and ``tol`` only fills the
+    convergence record. This is the one-sequence batch of the recursion
+    that ``marginal_representations`` runs over all pairs.
 
-        Gamma(v) = sum_u Phi(u) Gamma(v - u),   v = 1..q,
-
-    recursively in the order, maintaining forward and backward predictors
-    and their error covariances. The innovation covariance is
-
-        V = Gamma(0) - sum_u Phi(u) Gamma(u)'
-
-    and its trace is non-increasing in q.
-
-    Parameters
-    ----------
-    acov : AutocovSequence
-        Autocovariances up to at least lag ``q``.
-    q : int
-        Predictor order (0 returns the trivial predictor).
-    tol : float
-        Tail tolerance used only to fill the convergence record.
-
-    Raises
-    ------
-    SingularToeplitz
-        A prediction-error covariance became singular (deterministic
-        subprocess).
-    NumericalBreakdown
-        The innovation covariance lost positive semi-definiteness beyond
-        the -1e-8 eigenvalue floor.
+    Raises SingularToeplitz if a prediction-error covariance becomes
+    singular (a deterministic subprocess), and NumericalBreakdown if the
+    innovation covariance falls below the -1e-8 eigenvalue floor.
     """
-    return _levinson_whittle(acov, (q,), tol)[0]
+    (result,) = _levinson_whittle(acov.gammas[None], (q,), tol, (None,))
+    if isinstance(result, NotConverged):
+        return result.best
+    if isinstance(result, VardtfError):
+        raise result
+    return result
 
 
 def _order_schedule(q_max: int) -> list:
@@ -222,37 +238,31 @@ def marginal_representations(
 ) -> list:
     """Each pair's MarginalAR or the VardtfError that replaced it, aligned with ``pairs``.
 
-    One autocovariance solve to lag ``q_max`` serves every pair; a failed
-    solve is every pair's failure, and a pair not converged by ``q_max``
-    gets a NotConverged carrying ``best`` and per-order ``diagnostics``.
-    Settings other than ``q_max >= 1`` and a finite ``tol > 0``, and a pair
-    out of range, raise ShapeMismatch before the solve.
+    One autocovariance solve to lag ``q_max`` serves every pair, and one
+    batched recursion runs them all; a failed solve is every pair's
+    failure, and a pair not converged by ``q_max`` gets a NotConverged
+    carrying ``best`` and per-order ``diagnostics``. Settings other than
+    ``1 <= q_max <= Q_MAX_CAP`` and a finite ``tol > 0``, and a pair out of
+    range, raise ShapeMismatch before anything is solved or allocated.
     """
-    if q_max < 1 or not (np.isfinite(tol) and tol > 0.0):
-        raise ShapeMismatch(f"need q_max >= 1 and a finite tol > 0, got {q_max} and {tol:g}")
+    if not 1 <= q_max <= Q_MAX_CAP or not (np.isfinite(tol) and tol > 0.0):
+        raise ShapeMismatch(
+            f"need 1 <= q_max <= {Q_MAX_CAP} and a finite tol > 0, got {q_max} and {tol:g}"
+        )
     for pair in pairs:
         pair.check_dim(model.dim)
     try:
         acov = moments.autocov(model, maxlag=q_max)
     except VardtfError as exc:
         return [exc] * len(pairs)
-    orders = _order_schedule(q_max)
-    results = []
-    for pair in pairs:
-        try:
-            rep, diagnostics = _levinson_whittle(subprocess_autocov(acov, pair), orders, tol, pair)
-            conv = rep.convergence
-            if not conv.converged:
-                raise NotConverged(
-                    f"marginal representation not converged by order {q_max} "
-                    f"(tail {conv.tail_norm:.3g}, v_delta {conv.v_delta:.3g})",
-                    best=rep,
-                    diagnostics=diagnostics,
-                )
-        except VardtfError as exc:
-            rep = exc
-        results.append(rep)
-    return results
+    # gams[k, h] is Gamma(h) of pairs[k]'s channels, target first
+    channels = np.array([pair.channels for pair in pairs], dtype=int).reshape(-1, 2)
+    gams = acov.gammas[
+        np.arange(q_max + 1)[None, :, None, None],
+        channels[:, None, :, None],
+        channels[:, None, None, :],
+    ]
+    return _levinson_whittle(gams, _order_schedule(q_max), tol, pairs)
 
 
 def marginal_representation(

@@ -91,14 +91,11 @@ def error_spectral_matrix(
 ) -> FrequencyMatrix:
     """Spectral density of the reduction's error process e'(t).
 
-    With M = A_SR A_RR^-1 and Sigma partitioned into S/R blocks,
-
-        2 pi f(lambda) = Sigma_SS - M Sigma_RS - (M Sigma_RS)* + M Sigma_RR M*.
-
-    The returned matrix is f itself (the display divided by 2 pi). When the
-    pair receives no input from the other channels (A_SR identically zero)
-    this is the constant Sigma_SS / 2 pi, i.e. e' is white; otherwise it
-    generally varies with frequency.
+    e' = G H_S. E with G = H_SS^-1, so f is the density of G H_S. driven by
+    Sigma (see ``reduce_pair``). When the pair receives no input from the
+    other channels (A_SR identically zero) this is the constant
+    Sigma_SS / 2 pi, i.e. e' is white; otherwise it generally varies with
+    frequency.
     """
     return reduce_pair(model, pair, spectral.transfer_function(model, grid)).error_spectrum
 

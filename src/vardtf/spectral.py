@@ -57,9 +57,13 @@ class FrequencyGrid:
         return self.points.size
 
 
-def default_grid(count: int = DEFAULT_GRID_COUNT) -> FrequencyGrid:
-    """Equally spaced grid on [0, pi] inclusive."""
-    return FrequencyGrid(np.linspace(0.0, np.pi, count))
+def default_grid(
+    count: int = DEFAULT_GRID_COUNT, lo: float = 0.0, hi: float = np.pi
+) -> FrequencyGrid:
+    """Equally spaced grid on [lo, hi] inclusive, by default [0, pi]."""
+    if count < 2:  # before np.linspace, which has its own message for count < 0
+        raise ShapeMismatch("grid needs at least two frequency points")
+    return FrequencyGrid(np.linspace(lo, hi, count))
 
 
 @dataclass(frozen=True, eq=False)

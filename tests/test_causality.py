@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,27 @@ class TestFullReport:
         with pytest.raises(ShapeMismatch):
             full_report(counterexample_model(1.0, 1.0), default_grid(33), q_max=q_max, tol=tol)
         assert calls == []
+
+    @pytest.mark.parametrize("q_max", [1025, 10**8])
+    def test_order_cap_above_the_limit_rejected_before_any_pair(self, q_max, monkeypatch):
+        # Gamma(0..q_max) is sized by q_max, so the cap must come first
+        calls = []
+        monkeypatch.setattr(moments, "autocov", lambda *a, **k: calls.append(a))
+        with pytest.raises(ShapeMismatch, match="q_max <= 1024"):
+            full_report(counterexample_model(1.0, 1.0), default_grid(33), q_max=q_max)
+        assert calls == []
+
+    def test_allocation_stays_small(self):
+        # the condition numbers' Toeplitz matrices go through eigvalsh one at
+        # a time, so the peak stays near the recursion's: about 3.0 MB here
+        m = random_stable_model(3, dim=12, order=4, radius=0.7)
+        tracemalloc.start()
+        try:
+            full_report(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_verdicts_carry_the_representations(self):
         m = random_stable_model(4, dim=3, order=2, radius=0.7)

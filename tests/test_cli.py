@@ -518,3 +518,31 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("qmax", [1025, 10**8])
+def test_qmax_above_the_cap_is_usage_error(qmax, monkeypatch, capsys):
+    # rejected before the autocovariances to lag qmax are solved or allocated
+    calls = []
+    monkeypatch.setattr(moments, "autocov", lambda *a, **k: calls.append(a))
+    assert run("granger", "--alpha", 1, "--beta", 1, "--qmax", qmax) == 2
+    assert "q_max <= 1024" in _usage_error_line(capsys)
+    assert calls == []
+
+
+@pytest.mark.parametrize("maxlag,code", [(0, 2), (1, 2), (2, 2), (3, 0)])
+def test_fit_maxlag_must_exceed_the_order(maxlag, code, tmp_path, capsys):
+    assert run("simulate", "--alpha", 1, "--beta", 1, "--length", 500, "--out", tmp_path) == 0
+    capsys.readouterr()
+    data = tmp_path / "trajectory.csv"
+    assert run("fit", "--data", data, "--order", 2, "--maxlag", maxlag) == code
+    if code == 2:
+        assert "maxlag must exceed the fitted order 2" in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize("fs", [None, 200])
+@pytest.mark.parametrize("count", [-3, 0, 1])
+def test_grid_below_two_points_is_usage_error(count, fs, capsys):
+    rate = () if fs is None else ("--fs", fs)
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", count, *rate) == 2
+    assert "grid needs at least two frequency points" in _usage_error_line(capsys)

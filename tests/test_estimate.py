@@ -243,6 +243,16 @@ class TestResidualWhiteness:
         with pytest.raises(ShapeMismatch):
             whiteness_stats(np.zeros((10, 2)), maxlag=10)
 
+    @pytest.mark.parametrize("maxlag,df_model", [(0, 0), (0, 2), (1, 2), (2, 2)])
+    def test_maxlag_must_exceed_the_fitted_order(self, maxlag, df_model):
+        # with maxlag <= df_model the chi-square reference has no degrees of freedom
+        with pytest.raises(ShapeMismatch, match=f"maxlag must exceed the fitted order {df_model}"):
+            whiteness_stats(np.ones((50, 2)), maxlag, df_model)
+
+    def test_degrees_of_freedom_follow_the_order(self):
+        residuals = np.random.default_rng(4).normal(size=(200, 2))
+        assert whiteness_stats(residuals, 3, df_model=2).df == 4
+
     @pytest.mark.parametrize("maxlag", [-1, -5])
     def test_negative_maxlag_rejected(self, maxlag):
         with pytest.raises(ShapeMismatch, match="maxlag must be non-negative"):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from vardtf import (
     ChannelPair,
     autocov,
+    block_toeplitz,
     counterexample_model,
     default_grid,
     error_spectral_matrix,
@@ -27,8 +28,15 @@ from vardtf.exceptions import (
     NumericalBreakdown,
     ShapeMismatch,
     SingularToeplitz,
+    VardtfError,
 )
-from vardtf.marginal import _order_schedule, marginal_representations
+from vardtf.marginal import (
+    MarginalAR,
+    Q_MAX_CAP,
+    _levinson_whittle,
+    _order_schedule,
+    marginal_representations,
+)
 from vardtf.moments import AutocovSequence
 from vardtf.spectral import lag_polynomial
 
@@ -147,6 +155,24 @@ class TestWhittleRecursion:
         seq = AutocovSequence(gammas=gammas)
         with pytest.raises(NumericalBreakdown):
             whittle_recursion(seq, 2)
+
+    def test_failures_leave_the_batch_one_by_one(self):
+        # a singular, a valid and an indefinite sequence in one batch: each
+        # gets exactly what a recursion of its own gives
+        valid = subprocess_autocov(autocov(counterexample_model(1.0, 1.0), maxlag=2), PAIR12)
+        indefinite = np.zeros((3, 2, 2))
+        indefinite[:, 0, 0] = (1.0, 0.9, 0.2)
+        indefinite[0, 1, 1] = 1.0
+        stack = np.stack((np.ones((3, 2, 2)), valid.gammas, indefinite))
+        results = _levinson_whittle(stack, (2,), 1e-8, (None,) * 3)
+        assert [type(r) for r in results] == [SingularToeplitz, MarginalAR, NumericalBreakdown]
+        for gammas, result in zip(stack, results):
+            try:
+                alone = whittle_recursion(AutocovSequence(gammas), 2)
+            except (SingularToeplitz, NumericalBreakdown) as exc:
+                assert str(result) == str(exc)
+            else:
+                _assert_same_predictor(result, alone)
 
     def test_order_beyond_lags_rejected(self):
         seq = autocov(make_var([], np.eye(2)), maxlag=3)
@@ -272,6 +298,92 @@ class TestSinglePass:
             marginal_representations(
                 counterexample_model(1.0, 1.0), [PAIR12], q_max=q_max, tol=tol
             )
+
+    def test_order_cap_is_accepted_up_to_the_limit(self):
+        assert Q_MAX_CAP == 1024
+        rep = marginal_representation(counterexample_model(1.0, 1.0), PAIR12, q_max=Q_MAX_CAP)
+        assert rep.order_used == 4
+
+
+def _mixed_outcome_model(seed, dim, order, radius, zero_channel, loading):
+    """A random model on ``dim`` channels, plus optional extra channels.
+
+    An extra zero channel has neither innovation nor input, so it is
+    identically zero and every pair with it is a deterministic subprocess.
+    An extra slow channel, 0.999 X(t-1) + e(t), loads ``loading`` into
+    channels 1 and 2 at lag 1; their pair's coefficients decay slowly.
+    """
+    base = random_stable_model(seed, dim=dim, order=order, radius=radius)
+    total = dim + zero_channel + (loading is not None)
+    coeffs = np.zeros((order, total, total))
+    coeffs[:, :dim, :dim] = base.coeffs
+    sigma = np.zeros((total, total))
+    sigma[:dim, :dim] = base.sigma
+    if loading is not None:
+        slow = total - 1
+        coeffs[0, slow, slow] = 0.999
+        coeffs[0, 0, slow] = coeffs[0, 1, slow] = loading
+        sigma[slow, slow] = 1.0
+    return make_var(coeffs, sigma)
+
+
+def _assert_batch_matches_each_pair_alone(m, q_max):
+    """Every pair of one full_report batch against marginal_representation on its own."""
+    report = full_report(m, default_grid(33), q_max=q_max)
+    acov = autocov(m, q_max)
+    outcomes = set()
+    for v in report.pairs:
+        pair = ChannelPair(target=v.target, source=v.source)
+        try:
+            alone, error = marginal_representation(m, pair, q_max=q_max), None
+        except VardtfError as exc:
+            alone, error = getattr(exc, "best", None), exc
+        assert type(v.failure) is type(error)
+        assert v.error == (None if error is None else str(error))
+        outcomes.add(type(error))
+        batched = v.marginal if error is None else getattr(v.failure, "best", None)
+        if isinstance(error, NotConverged):
+            assert v.failure.diagnostics == error.diagnostics
+        if alone is None:
+            assert batched is None
+            continue
+        assert batched.pair == pair
+        _assert_same_predictor(batched, alone)
+        # the 2-norm condition number, as an SVD gives it: both carry an
+        # error of order eps ||T|| in the smallest value, so beyond a
+        # condition number of about 4500 they agree to eps * cond only
+        toeplitz = block_toeplitz(subprocess_autocov(acov, pair), max(alone.order_used, 1))
+        expected = np.linalg.cond(toeplitz)
+        rel = abs(batched.toeplitz_cond - expected) / expected
+        assert rel <= max(1e-12, np.finfo(float).eps * expected)
+    return outcomes
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 5),
+    order=st.integers(1, 3),
+    radius=st.floats(0.1, 0.8),
+    zero_channel=st.booleans(),
+    loading=st.one_of(st.none(), st.floats(0.05, 0.5)),
+    q_max=st.sampled_from([16, 64]),
+)
+def test_batched_pass_matches_each_pair_alone(
+    seed, dim, order, radius, zero_channel, loading, q_max
+):
+    # converged, SingularToeplitz and NotConverged pairs leave one batch at
+    # their own orders; each gets the bits its own recursion gives
+    extra = zero_channel + (loading is not None)
+    assume(dim - extra >= 2)
+    m = _mixed_outcome_model(seed, dim - extra, order, radius, zero_channel, loading)
+    _assert_batch_matches_each_pair_alone(m, q_max)
+
+
+def test_one_batch_holds_all_three_outcomes():
+    m = _mixed_outcome_model(1, 2, 1, 0.5, zero_channel=True, loading=0.3)
+    outcomes = _assert_batch_matches_each_pair_alone(m, 16)
+    assert outcomes == {type(None), SingularToeplitz, NotConverged}
 
 
 @settings(max_examples=30, deadline=None)

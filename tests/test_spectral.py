@@ -36,6 +36,15 @@ class TestGrid:
         assert g.points[-1] == pytest.approx(np.pi)
         assert np.pi / 2 in g.points
 
+    @pytest.mark.parametrize("count", [-3, 0, 1])
+    def test_rejects_fewer_than_two_points(self, count):
+        with pytest.raises(ShapeMismatch, match="at least two frequency points"):
+            default_grid(count)
+
+    def test_band(self):
+        g = default_grid(5, 0.5, 1.5)
+        assert np.array_equal(g.points, np.linspace(0.5, 1.5, 5))
+
     def test_rejects_unsorted(self):
         with pytest.raises(ShapeMismatch):
             FrequencyGrid(np.array([0.0, 0.5, 0.5]))
