@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -87,16 +88,6 @@ def _resolve(args) -> argparse.Namespace:
     return args
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_csv(path: Path, fm: spectral.FrequencyMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        spectral.frequency_matrix_to_csv(fm, fh)
-
-
 @contextlib.contextmanager
 def _output(outdir: Path | None, name: str):
     """The file ``name`` in ``outdir``, or stdout when there is no directory."""
@@ -107,28 +98,23 @@ def _output(outdir: Path | None, name: str):
             yield fh
 
 
+def _write_csv(outdir: Path | None, name: str, fm: spectral.FrequencyMatrix) -> None:
+    with _output(outdir, name) as fh:
+        spectral.frequency_matrix_to_csv(fm, fh)
+
+
 def _pair_label(verdict) -> str:
     return f"{verdict.target + 1}<-{verdict.source + 1}"
 
 
-def _report_dict(report: causality.CausalityReport) -> dict:
-    pairs = []
-    for v in report.pairs:
-        pairs.append(
-            {
-                "target": v.target + 1,
-                "source": v.source + 1,
-                "dtf_zero": v.dtf_zero,
-                "bivariate_gc": v.bivariate_gc,
-                "multivariate_gc": v.multivariate_gc,
-                "contradiction": v.contradiction,
-                "max_dtf": v.max_dtf,
-                "max_phi": v.max_phi,
-                "max_coeff": v.max_coeff,
-                "error": v.error,
-            }
-        )
-    return {"dim": report.dim, "pairs": pairs}
+def _pair_doc(record) -> dict:
+    """A ChannelPair's or PairVerdict's compared fields, with 1-based channels."""
+    doc = {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.compare}
+    return {**doc, "target": record.target + 1, "source": record.source + 1}
+
+
+def _report_json(report: causality.CausalityReport) -> str:
+    return canonical_json({"dim": report.dim, "pairs": [_pair_doc(v) for v in report.pairs]})
 
 
 def _report_table(report: causality.CausalityReport) -> str:
@@ -148,23 +134,15 @@ def _report_table(report: causality.CausalityReport) -> str:
     return "\n".join(lines)
 
 
-def _write_report(report: causality.CausalityReport, outdir: Path) -> None:
-    _write_text(outdir / "report.json", canonical_json(_report_dict(report)))
-
-
 def _write_reduction(args, pair: ChannelPair, transfer: spectral.FrequencyMatrix) -> tuple:
     """Reduce a pair, write its spectra and reduction.json; returns (deficit, is_white)."""
     red = reduction.reduce_pair(args.model, pair, transfer)
-    _write_csv(args.out / "reduced_polynomial.csv", red.reduced_poly)
-    _write_csv(args.out / "error_spectrum.csv", red.error_spectrum)
+    _write_csv(args.out, "reduced_polynomial.csv", red.reduced_poly)
+    _write_csv(args.out, "error_spectrum.csv", red.error_spectrum)
     deficit = reduction.whiteness_deficit(red.error_spectrum)
     white = reduction.is_white(red.error_spectrum)
-    doc = {
-        "pair": {"target": pair.target + 1, "source": pair.source + 1},
-        "whiteness_deficit": deficit,
-        "is_white": white,
-    }
-    _write_text(args.out / "reduction.json", canonical_json(doc))
+    doc = {"pair": _pair_doc(pair), "whiteness_deficit": deficit, "is_white": white}
+    (args.out / "reduction.json").write_text(canonical_json(doc), encoding="utf-8")
     return deficit, white
 
 
@@ -176,14 +154,10 @@ def _marginal_doc(args, rep, transfer: spectral.FrequencyMatrix) -> tuple:
         "order_used": rep.order_used,
         "phis": rep.phis.tolist(),
         "innov_cov": rep.innov_cov.tolist(),
-        "convergence": {
-            "tail_norm": rep.convergence.tail_norm,
-            "v_delta": rep.convergence.v_delta,
-            "converged": rep.convergence.converged,
-        },
+        "convergence": dataclasses.asdict(rep.convergence),
         "toeplitz_cond": rep.toeplitz_cond,
         "whiteness_deficit": deficit,
-        "pair": {"target": pair.target + 1, "source": pair.source + 1},
+        "pair": _pair_doc(pair),
     }
     return deficit, doc
 
@@ -201,7 +175,7 @@ def cmd_counterexample(args) -> int:
     model, grid = args.model, args.grid
     pair = ChannelPair(target=0, source=1)
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
-    _write_csv(args.out / "transfer_function.csv", report.transfer)
+    _write_csv(args.out, "transfer_function.csv", report.transfer)
     deficit, _ = _write_reduction(args, pair, report.transfer)
     verdict = next(
         v for v in report.pairs if (v.target, v.source) == (pair.target, pair.source)
@@ -209,8 +183,8 @@ def cmd_counterexample(args) -> int:
     if verdict.failure is not None:
         raise verdict.failure
     rep_deficit, doc = _marginal_doc(args, verdict.marginal, report.transfer)
-    _write_text(args.out / "marginal.json", canonical_json(doc))
-    _write_report(report, args.out)
+    (args.out / "marginal.json").write_text(canonical_json(doc), encoding="utf-8")
+    (args.out / "report.json").write_text(_report_json(report), encoding="utf-8")
 
     print(f"alpha={args.alpha:g} beta={args.beta:g}")
     print(_report_table(report))
@@ -224,11 +198,11 @@ def cmd_analyze(args) -> int:
     """Causality report plus per-pair marginalizations and spectra."""
     model, grid = args.model, args.grid
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
-    _write_report(report, args.out)
+    (args.out / "report.json").write_text(_report_json(report), encoding="utf-8")
     density = spectral.density_from_transfer(report.transfer, model.sigma)
-    _write_csv(args.out / "spectral_density.csv", density)
+    _write_csv(args.out, "spectral_density.csv", density)
     dtf_vals = spectral.dtf_from_transfer(report.transfer, normalized=not args.raw)
-    _write_csv(args.out / "dtf.csv", spectral.FrequencyMatrix(grid, dtf_vals.astype(complex)))
+    _write_csv(args.out, "dtf.csv", spectral.FrequencyMatrix(grid, dtf_vals.astype(complex)))
 
     marginals: dict = {}
     for v in report.pairs:
@@ -238,7 +212,7 @@ def cmd_analyze(args) -> int:
             marginals[_pair_label(v)] = _marginal_doc(args, v.marginal, report.transfer)[1]
     # the grid arrays are not needed for the largest document; free them first
     del density, dtf_vals
-    _write_text(args.out / "marginals.json", canonical_json(marginals))
+    (args.out / "marginals.json").write_text(canonical_json(marginals), encoding="utf-8")
 
     print(_report_table(report))
     return 0
@@ -246,10 +220,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_dtf(args) -> int:
     values = spectral.dtf(args.model, args.grid, normalized=not args.raw)
-    with _output(args.out, "dtf.csv") as fh:
-        spectral.frequency_matrix_to_csv(
-            spectral.FrequencyMatrix(args.grid, values.astype(complex)), fh
-        )
+    _write_csv(args.out, "dtf.csv", spectral.FrequencyMatrix(args.grid, values.astype(complex)))
     return 0
 
 
@@ -264,7 +235,7 @@ def cmd_marginalize(args) -> int:
     rep = marginal.marginal_representation(args.model, args.pair, q_max=args.qmax, tol=args.tol)
     deficit, doc = _marginal_doc(args, rep, spectral.transfer_function(args.model, args.grid))
     if args.out is not None:
-        _write_text(args.out / "marginal.json", canonical_json(doc))
+        (args.out / "marginal.json").write_text(canonical_json(doc), encoding="utf-8")
     print(f"pair {args.pair.target + 1}<-{args.pair.source + 1}")
     print(f"order_used: {rep.order_used}  converged: {rep.convergence.converged}")
     print(f"innov_cov:\n{rep.innov_cov}")
@@ -277,9 +248,9 @@ def cmd_marginalize(args) -> int:
 def cmd_granger(args) -> int:
     report = causality.full_report(args.model, args.grid, q_max=args.qmax, tol=args.tol)
     if args.out is not None:
-        _write_report(report, args.out)
+        (args.out / "report.json").write_text(_report_json(report), encoding="utf-8")
     if args.json:
-        sys.stdout.write(canonical_json(_report_dict(report)))
+        sys.stdout.write(_report_json(report))
     else:
         print(_report_table(report))
     return 0
@@ -319,7 +290,7 @@ def cmd_fit(args) -> int:
             },
             "lag_norms": white.lag_norms.tolist(),
         }
-        _write_text(args.out / "fit_diagnostics.json", canonical_json(doc))
+        (args.out / "fit_diagnostics.json").write_text(canonical_json(doc), encoding="utf-8")
     print(f"fitted VAR({args.order}) on {fit.nobs} observations")
     print(f"portmanteau p-value (L={args.maxlag}): {white.p_value:.4g}")
     return 0

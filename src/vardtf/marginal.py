@@ -11,10 +11,11 @@ Marginal representations are generically of infinite order with
 geometrically decaying tails, so the driver grows the order until the last
 coefficient block and the innovation-trace decrement both fall below a
 tolerance. ``marginal_representations`` solves a model's autocovariances
-once, stacks the requested pairs' and runs one recursion over the stack,
-checked for convergence at the orders 4, 8, ..: each pair leaves the batch
-at its first converging order, and its block-Toeplitz condition number is
-taken only at the order returned.
+once, stacks the requested pairs' subprocess autocovariances and runs one
+recursion over the stack, checked for convergence at the orders 4, 8, ..:
+each pair leaves the batch at its first converging order, or at the order
+where it fails, and its block-Toeplitz condition number is taken only at
+the order returned.
 """
 
 from __future__ import annotations
@@ -97,13 +98,16 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
     """Run the recursion on a stack of sequences; each stops at its first converging order.
 
     ``gams`` is a (P, maxlag + 1, d, d) stack of autocovariance sequences,
-    recursed together along a leading batch axis. At each of the increasing
-    ``orders`` each running sequence's {tail_norm, v_delta} is recorded;
-    those with both below ``tol`` leave the batch, and at ``orders[-1]`` the
-    rest. A singular prediction-error covariance, or an innovation
-    covariance below the PSD floor, takes only its own sequence out. Returns,
-    aligned with ``gams``, the MarginalAR of ``pairs[k]`` where it stopped,
-    a NotConverged carrying it and the records by order, or the error.
+    recursed together along a leading batch axis; each step reads the running
+    sequences' Gamma from ``gams`` through their indices. At each of the
+    increasing ``orders`` each running sequence's {tail_norm, v_delta} is
+    recorded; those with both below ``tol`` leave the batch, and at
+    ``orders[-1]`` the rest. A singular prediction-error covariance (its
+    system is then solved alone, and the sequence gets a zero gain), or an
+    innovation covariance below the PSD floor, takes only its own sequence
+    out, at the end of that step. Returns, aligned with ``gams``, the
+    MarginalAR of ``pairs[k]`` where it stopped, a NotConverged carrying it
+    and the records by order, or the error.
 
     Forward and backward quantities are stacked, so each step updates both
     predictors at every lag, and both error covariances, in single array
@@ -119,18 +123,18 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
     results: list = [None] * count
     diagnostics: list = [{} for _ in range(count)]
 
-    # The running sequences: g[i] is gams[active[i]]; pred[i, 0, u-1] and
+    # The running sequences: active[i] indexes gams; pred[i, 0, u-1] and
     # pred[i, 1, u-1] are its forward and backward coefficients at lag u,
     # cov[i, 0] and cov[i, 1] its forward and backward error covariances.
-    active, g = np.arange(count), gams
+    active = np.arange(count)
     pred = np.zeros((count, 2, 0, d, d))
-    cov = np.stack((g[:, 0], g[:, 0]), axis=1)
+    cov = np.stack((gams[:, 0], gams[:, 0]), axis=1)
 
     def stop(i, tail) -> None:  # the running sequence i stops at this order
         k = active[i]
         # the block-Toeplitz matrix is symmetric PSD, so its singular values
         # are its |eigenvalues|: eigvalsh gives the SVD's condition number
-        toeplitz = block_toeplitz(AutocovSequence(g[i]), max(pred.shape[2], 1))
+        toeplitz = block_toeplitz(AutocovSequence(gams[k]), max(pred.shape[2], 1))
         eig = np.abs(np.linalg.eigvalsh(toeplitz))
         cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
         # copies, not views, so that the batch's arrays can be freed
@@ -143,26 +147,24 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
         )
 
     for n in range(orders[-1]):
-        delta = np.subtract.reduce(
-            np.concatenate((g[:, n + 1, None], pred[:, 0] @ g[:, n:0:-1]), axis=1), axis=1
-        )
+        terms = np.concatenate((gams[active, n + 1, None], pred[:, 0] @ gams[active, n:0:-1]), 1)
+        delta = np.subtract.reduce(terms, axis=1)
         rhs = np.stack((delta.transpose(0, 2, 1), delta), axis=1)
         lhs = cov[:, ::-1].transpose(0, 1, 3, 2)
+        leave = np.zeros(active.size, bool)  # the sequences that stop at this order
         try:
             # forward gain delta w^-1, backward gain delta' v^-1
             gains = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:  # one singular system fails the whole batch
-            ok = np.ones(active.size, bool)
+            gains = np.zeros_like(rhs)  # a zero gain leaves a singular sequence as it was
             for i in range(active.size):
                 try:
-                    np.linalg.solve(lhs[i], rhs[i])
+                    gains[i] = np.linalg.solve(lhs[i], rhs[i])
                 except np.linalg.LinAlgError:
-                    ok[i] = False
+                    leave[i] = True
                     results[active[i]] = SingularToeplitz(
                         f"prediction-error covariance singular at order {n + 1}"
                     )
-            active, g, pred, cov, lhs, rhs = (x[ok] for x in (active, g, pred, cov, lhs, rhs))
-            gains = np.linalg.solve(lhs, rhs)
         gains = gains.transpose(0, 1, 3, 2)
 
         pred = np.concatenate(
@@ -173,11 +175,12 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
         cov = 0.5 * (cov + cov.transpose(0, 1, 3, 2))
         eig_min = np.linalg.eigvalsh(cov[:, 0])[:, 0]
         v_delta = np.abs(trace_v - np.trace(cov[:, 0], axis1=1, axis2=2))
-        leave = eig_min < INNOV_PSD_FLOOR
-        for k, eig in zip(active[leave], eig_min[leave]):
+        broken = (eig_min < INNOV_PSD_FLOOR) & ~leave
+        for k, eig in zip(active[broken], eig_min[broken]):
             results[k] = NumericalBreakdown(
                 f"innovation covariance eigenvalue {eig:.3g} at order {n + 1}"
             )
+        leave |= broken
         if n + 1 in orders:
             for i in np.flatnonzero(~leave):
                 # the norm of one 2-D block, as a recursion of one takes it
@@ -189,7 +192,7 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
                 if tail.converged or n + 1 == orders[-1]:
                     stop(i, tail)
                     leave[i] = True
-        active, g, pred, cov = (x[~leave] for x in (active, g, pred, cov))
+        active, pred, cov = (x[~leave] for x in (active, pred, cov))
         if not active.size:
             break
     for i in range(active.size):  # left running only at order 0: no step was taken
@@ -256,12 +259,8 @@ def marginal_representations(
     except VardtfError as exc:
         return [exc] * len(pairs)
     # gams[k, h] is Gamma(h) of pairs[k]'s channels, target first
-    channels = np.array([pair.channels for pair in pairs], dtype=int).reshape(-1, 2)
-    gams = acov.gammas[
-        np.arange(q_max + 1)[None, :, None, None],
-        channels[:, None, :, None],
-        channels[:, None, None, :],
-    ]
+    gams = np.array([moments.subprocess_autocov(acov, pair).gammas for pair in pairs])
+    gams = gams.reshape(-1, q_max + 1, 2, 2)  # no pairs: an empty stack
     return _levinson_whittle(gams, _order_schedule(q_max), tol, pairs)
 
 

@@ -59,15 +59,13 @@ class ReducedRepresentation:
             raise ShapeMismatch("error spectrum is not Hermitian")
 
 
-def _split_indices(dim: int, pair: ChannelPair) -> tuple:
+def _split_indices(dim: int, pair: ChannelPair) -> list:
     pair.check_dim(dim)
     if dim < 3:
         raise DimensionTooSmall(
             "reduction needs at least one channel to marginalize (dim >= 3)"
         )
-    retained = list(pair.channels)
-    removed = [ch for ch in range(dim) if ch not in retained]
-    return retained, removed
+    return list(pair.channels)
 
 
 def reduced_polynomial(
@@ -115,7 +113,7 @@ def reduce_pair(
     SingularAtFrequency
         Where H_SS is singular, i.e. where A_RR(lambda) is.
     """
-    retained, _ = _split_indices(model.dim, pair)
+    retained = _split_indices(model.dim, pair)
     rows = transfer.values[:, retained]
     g = invert_pointwise(
         FrequencyMatrix(transfer.grid, rows[:, :, retained]),
@@ -164,7 +162,7 @@ def error_autocov(model: VarModel, pair: ChannelPair, maxlag: int) -> AutocovSeq
     lag polynomial A_RR is not stable (e' is then not stationary) raises
     ShapeMismatch, as does a negative ``maxlag``.
     """
-    retained, _ = _split_indices(model.dim, pair)
+    retained = _split_indices(model.dim, pair)
     coeffs = model.coeffs.copy()
     coeffs[:, :, retained] = 0.0
     try:

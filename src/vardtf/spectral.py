@@ -29,8 +29,8 @@ DEFAULT_GRID_COUNT = 257
 #: is reported as singular.
 INVERSION_RESIDUAL_TOL = 1e-10
 
-#: Grid points per block of the inversion residual check, so that its
-#: temporaries stay small next to the matrices themselves.
+#: Grid points per block of the pointwise inversion and its residual check,
+#: so that their temporaries stay small next to the matrices themselves.
 RESIDUAL_CHUNK = 512
 
 
@@ -130,26 +130,28 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
 def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     """Inverse of a square FrequencyMatrix at every grid point.
 
+    Blocks of RESIDUAL_CHUNK points are inverted and gated in grid order.
+
     Raises
     ------
     SingularAtFrequency
-        At the first point where the matrix is singular or the residual
-        ||inv A - I||_F reaches 1e-10; ``detail`` names the matrix.
+        In the first block with a point where the matrix is singular or the
+        residual ||inv A - I||_F reaches 1e-10: at its first singular point,
+        else its first residual failure; ``detail`` names the matrix.
     """
     values = fm.values
-    n, d = values.shape[0], values.shape[1]
-    eye = np.eye(d)
-    try:
-        inv = np.linalg.inv(values)
-    except np.linalg.LinAlgError:
-        inv = np.empty_like(values)
-        for m in range(n):
-            try:
-                inv[m] = np.linalg.inv(values[m])
-            except np.linalg.LinAlgError:
-                raise SingularAtFrequency(fm.grid.points[m], detail) from None
-    for start in range(0, n, RESIDUAL_CHUNK):
+    eye = np.eye(values.shape[1])
+    inv = np.empty_like(values)
+    for start in range(0, values.shape[0], RESIDUAL_CHUNK):
         block = slice(start, start + RESIDUAL_CHUNK)
+        try:
+            inv[block] = np.linalg.inv(values[block])
+        except np.linalg.LinAlgError:  # one singular matrix fails the whole block
+            for m in range(*block.indices(values.shape[0])):
+                try:
+                    inv[m] = np.linalg.inv(values[m])
+                except np.linalg.LinAlgError:
+                    raise SingularAtFrequency(fm.grid.points[m], detail) from None
         residual = np.linalg.norm(inv[block] @ values[block] - eye, axis=(1, 2))
         bad = np.nonzero(~(residual < INVERSION_RESIDUAL_TOL))[0]  # NaN fails too
         if bad.size:

@@ -546,3 +546,88 @@ def test_grid_below_two_points_is_usage_error(count, fs, capsys):
     rate = () if fs is None else ("--fs", fs)
     assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", count, *rate) == 2
     assert "grid needs at least two frequency points" in _usage_error_line(capsys)
+
+
+def test_granger_table(capsys):
+    assert run("granger", "--alpha", 1, "--beta", 1) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].split() == [
+        "pair", "dtf_zero", "biv_gc", "multi_gc", "contradiction", "max_dtf", "max_phi"
+    ]
+    rows = {line.split()[0]: line.split() for line in lines[1:]}
+    assert sorted(rows) == ["1<-2", "1<-3", "2<-1", "2<-3", "3<-1", "3<-2"]
+    assert [label for label, row in rows.items() if row[4] == "YES"] == ["1<-2"]
+    assert rows["1<-2"][1:4] == ["yes", "yes", "no"]
+
+
+def test_granger_out_writes_the_json_document(tmp_path, capsys):
+    assert run("granger", "--alpha", 1, "--beta", 1, "--json") == 0
+    stdout = capsys.readouterr().out
+    assert run("granger", "--alpha", 1, "--beta", 1, "--out", tmp_path) == 0
+    assert (tmp_path / "report.json").read_bytes() == stdout.encode("utf-8")
+
+
+def test_report_pair_keys_are_the_compared_verdict_fields(capsys):
+    assert run("granger", "--alpha", 1, "--beta", 1, "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    keys = {
+        "target", "source", "dtf_zero", "bivariate_gc", "multivariate_gc",
+        "contradiction", "max_dtf", "max_phi", "max_coeff", "error",
+    }
+    assert all(set(p) == keys for p in doc["pairs"])
+    assert {(p["target"], p["source"]) for p in doc["pairs"]} == {
+        (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)
+    }
+
+
+def test_dtf_out_writes_the_stdout_table(tmp_path, capsys):
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 9) == 0
+    stdout = capsys.readouterr().out
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 9, "--out", tmp_path) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "dtf.csv").read_bytes() == stdout.encode("utf-8")
+
+
+def test_raw_dtf_is_the_squared_transfer_modulus(capsys):
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 9, "--raw") == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    header = lines[0].split(",")
+    table = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    grid = spectral.default_grid(9)
+    h = spectral.transfer_function(counterexample_model(1.0, 1.0), grid).values
+    assert np.array_equal(table[:, 0], grid.points)
+    for j in range(3):
+        for k in range(3):
+            column = table[:, header.index(f"re_{j + 1}_{k + 1}")]
+            assert np.array_equal(column, np.abs(h[:, j, k]) ** 2)
+            assert not table[:, header.index(f"im_{j + 1}_{k + 1}")].any()
+
+
+def test_analyze_raw_dtf_equals_dtf_raw(tmp_path):
+    assert run("analyze", "--alpha", 1, "--beta", 1, "--raw", "--out", tmp_path / "a") == 0
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--raw", "--out", tmp_path / "d") == 0
+    raw = (tmp_path / "d" / "dtf.csv").read_bytes()
+    assert (tmp_path / "a" / "dtf.csv").read_bytes() == raw
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--out", tmp_path / "n") == 0
+    assert (tmp_path / "n" / "dtf.csv").read_bytes() != raw
+
+
+def test_band_needs_two_values(capsys):
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--fs", 100, "--band", 1) == 2
+    assert "--band expects 'LO,HI'" in _usage_error_line(capsys)
+
+
+def test_counterexample_pair_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
+    # the 1<-2 representation is exactly VAR(1), so no --tol can fail it;
+    # a stalled autocovariance solve does
+    def stalled(model, maxlag=None):
+        raise NoConvergence("doubling iteration for the Lyapunov equation stalled")
+
+    monkeypatch.setattr(moments, "autocov", stalled)
+    assert run("counterexample", "--alpha", 1, "--beta", 1, "--out", tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error[numerical]: doubling iteration for the Lyapunov equation stalled\n"
+    )
+    assert not (tmp_path / "report.json").exists()

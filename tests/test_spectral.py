@@ -265,3 +265,15 @@ class TestCsv:
         assert lines[0].startswith("lambda,re_1_1,im_1_1,re_1_2")
         assert len(lines) == 6
         assert len(lines[1].split(",")) == 1 + 2 * 9
+
+
+def test_first_bad_point_in_grid_order_is_named():
+    # a NaN point (a residual failure) precedes an exactly singular one in a
+    # later block: the NaN point is the one reported
+    grid = default_grid(2000)
+    values = np.broadcast_to(np.eye(2, dtype=complex), (len(grid), 2, 2)).copy()
+    values[100] = np.nan
+    values[1500] = 0.0
+    with pytest.raises(SingularAtFrequency, match="inversion residual") as exc:
+        invert_pointwise(FrequencyMatrix(grid, values))
+    assert exc.value.frequency == grid.points[100]
