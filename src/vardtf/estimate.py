@@ -12,6 +12,11 @@ innovations convolved with the MA taps Psi_0..Psi_i) plus the top block row
 of C^(i+1), C the companion matrix, applied to the state that the previous
 block left. The forced responses of all blocks are stepped through the 64
 block positions at once; only the free responses go block by block.
+
+The lag products F[h] = sum_t x(t) x(t-h)^T (``_lag_sums``) give the
+sample autocovariances and, less the products of the first and last q rows,
+the least-squares normal equations: the fit needs O(T d) memory, not the
+O(T d q) of a design matrix.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg, special
 
-from .exceptions import RankDeficientRegressors, ShapeMismatch
+from .exceptions import RankDeficientRegressors, ShapeMismatch, Unstable, UnstableFit
 from .jsonio import write_csv
 from .model import VarModel, companion_matrix
 from .moments import AutocovSequence
@@ -155,39 +161,63 @@ def simulate(
     return Trajectory(samples, seed)
 
 
+def _lag_sums(x: np.ndarray, maxlag: int) -> np.ndarray:
+    """Lag products F[h] = sum_{t=h}^{T-1} x(t) x(t-h)^T for h = 0..maxlag."""
+    t_len, d = x.shape
+    sums = np.empty((maxlag + 1, d, d))
+    for h in range(maxlag + 1):
+        sums[h] = x[h:].T @ x[: t_len - h]
+    return sums
+
+
 def sample_autocov(samples: np.ndarray, maxlag: int) -> AutocovSequence:
     """Sample autocovariances Gamma_hat(0..maxlag) of a (T, d) array."""
     samples = np.asarray(samples, dtype=float)
-    t_len, d = samples.shape
+    t_len = samples.shape[0]
     if maxlag < 0:
         raise ShapeMismatch("maxlag must be non-negative")
     if maxlag >= t_len:
         raise ShapeMismatch("maxlag must be below the sample length")
-    centered = samples - samples.mean(axis=0)
-    gammas = np.empty((maxlag + 1, d, d))
-    for h in range(maxlag + 1):
-        gammas[h] = centered[h:].T @ centered[: t_len - h] / t_len
-    return AutocovSequence(gammas)
+    return AutocovSequence(_lag_sums(samples - samples.mean(axis=0), maxlag) / t_len)
 
 
-def _lag_matrix(samples: np.ndarray, order: int) -> np.ndarray:
+def _lag_moments(samples: np.ndarray, order: int) -> np.ndarray:
+    """Moment matrix sum_{t=q}^{T-1} z(t) z(t)^T of z(t) = [x(t), .., x(t-q)].
+
+    With x taken as zero outside 0..T-1, the sum over every t has block
+    (u, v) = F[v-u] for u <= v. The rows left out, t < q and t >= T, are
+    formed from the first and last q samples padded with zeros, and
+    subtracted.
+    """
     t_len, d = samples.shape
-    cols = [samples[order - u : t_len - u] for u in range(1, order + 1)]
-    return np.concatenate(cols, axis=1)
+    n = (order + 1) * d
+    sums = _lag_sums(samples, order)
+    # table[order + h] = F[h] and table[order - h] = F[h]^T
+    table = np.concatenate([sums[:0:-1].transpose(0, 2, 1), sums])
+    lags = np.arange(order + 1)
+    full = table[order + lags - lags[:, None]].transpose(0, 2, 1, 3).reshape(n, n)
+    zeros = np.zeros((order, d))
+    padded = np.stack([np.vstack([zeros, samples[:order]]), np.vstack([samples[t_len - order :], zeros])])
+    # row (k, i) of edge is z(t) = [padded[k, order + i], .., padded[k, i]] at a left-out t
+    edge = sliding_window_view(padded, order + 1, axis=1)[..., ::-1]
+    edge = edge.transpose(0, 1, 3, 2).reshape(2 * order, n)
+    return full - edge.T @ edge
 
 
 def fit_var(traj: Trajectory, order: int) -> FitResult:
     """Ordinary least squares fit of a VAR(order), one regression per equation.
 
-    All equations share the lagged-regressor matrix, so a single
-    decomposition serves every channel. Standard errors come from the
-    regression information matrix with degrees-of-freedom-corrected residual
-    covariance.
+    All equations share the lagged regressors, so a single decomposition
+    of the Gram matrix from ``_lag_moments`` serves every channel. Standard
+    errors come from the regression information matrix with
+    degrees-of-freedom-corrected residual covariance.
 
     Raises
     ------
     RankDeficientRegressors
-        The lag matrix does not have full column rank.
+        The lagged regressors do not have full column rank.
+    UnstableFit
+        The estimate is not a stable VAR, as on trending data.
     """
     if order < 1:
         raise ShapeMismatch("fit order must be at least 1")
@@ -198,18 +228,18 @@ def fit_var(traj: Trajectory, order: int) -> FitResult:
         raise ShapeMismatch(
             f"trajectory too short ({t_len}) for order {order} fit"
         )
-    design = _lag_matrix(samples, order)
-    response = samples[order:]
-    gram = design.T @ design
+    moments = _lag_moments(samples, order)
     try:
-        chol = linalg.cho_factor(gram)
+        chol = linalg.cho_factor(moments[d:, d:])
     except np.linalg.LinAlgError:
         raise RankDeficientRegressors(
             f"lag matrix gram ({ncoef} columns) is not positive definite"
         ) from None
-    coef = linalg.cho_solve(chol, design.T @ response)
-    residuals = response - design @ coef
-    dof = response.shape[0] - ncoef
+    coef = linalg.cho_solve(chol, moments[d:, :d])
+    residuals = samples[order:].copy()
+    for u in range(1, order + 1):
+        residuals -= samples[order - u : t_len - u] @ coef[(u - 1) * d : u * d]
+    dof = residuals.shape[0] - ncoef
     sigma = residuals.T @ residuals / dof
 
     gram_inv = linalg.cho_solve(chol, np.eye(ncoef))
@@ -219,7 +249,11 @@ def fit_var(traj: Trajectory, order: int) -> FitResult:
         sigma.diagonal()[None, :, None] * np.diag(gram_inv).reshape(order, 1, d)
     )
 
-    return FitResult(model=VarModel(coeffs, sigma), stderr=stderr, residuals=residuals)
+    try:
+        model = VarModel(coeffs, sigma)
+    except Unstable as exc:
+        raise UnstableFit(f"least-squares VAR({order}) estimate: {exc}") from None
+    return FitResult(model=model, stderr=stderr, residuals=residuals)
 
 
 def whiteness_stats(

@@ -94,3 +94,7 @@ class NotConverged(NumericalError):
 
 class RankDeficientRegressors(NumericalError):
     """The lagged-regressor matrix does not have full column rank."""
+
+
+class UnstableFit(NumericalError):
+    """A least-squares VAR estimate is not stable, as on trending data."""

@@ -131,17 +131,27 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     """Inverse of a square FrequencyMatrix at every grid point.
 
     Blocks of RESIDUAL_CHUNK points are inverted and gated in grid order.
+    A block with a singular point is inverted and gated point by point.
 
     Raises
     ------
     SingularAtFrequency
-        In the first block with a point where the matrix is singular or the
-        residual ||inv A - I||_F reaches 1e-10: at its first singular point,
-        else its first residual failure; ``detail`` names the matrix.
+        At the first grid point where the matrix is singular or the
+        residual ||inv A - I||_F reaches 1e-10; ``detail`` names the matrix.
     """
     values = fm.values
     eye = np.eye(values.shape[1])
     inv = np.empty_like(values)
+
+    def gate(start, stop):
+        residual = np.linalg.norm(inv[start:stop] @ values[start:stop] - eye, axis=(1, 2))
+        bad = np.nonzero(~(residual < INVERSION_RESIDUAL_TOL))[0]  # NaN fails too
+        if bad.size:
+            raise SingularAtFrequency(
+                fm.grid.points[start + bad[0]],
+                detail or f"inversion residual {residual[bad[0]]:.3g}",
+            )
+
     for start in range(0, values.shape[0], RESIDUAL_CHUNK):
         block = slice(start, start + RESIDUAL_CHUNK)
         try:
@@ -152,13 +162,8 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
                     inv[m] = np.linalg.inv(values[m])
                 except np.linalg.LinAlgError:
                     raise SingularAtFrequency(fm.grid.points[m], detail) from None
-        residual = np.linalg.norm(inv[block] @ values[block] - eye, axis=(1, 2))
-        bad = np.nonzero(~(residual < INVERSION_RESIDUAL_TOL))[0]  # NaN fails too
-        if bad.size:
-            raise SingularAtFrequency(
-                fm.grid.points[start + bad[0]],
-                detail or f"inversion residual {residual[bad[0]]:.3g}",
-            )
+                gate(m, m + 1)
+        gate(start, start + RESIDUAL_CHUNK)
     return FrequencyMatrix(grid=fm.grid, values=inv)
 
 

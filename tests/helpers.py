@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own code paths: the
 Yule-Walker solve uses a dense stacked system instead of the order
 recursion, the reduction is block substitution on A(lambda) instead of
 the inverse of a block of H(lambda), the spectral oracle is a smoothed
-periodogram of simulated data, and the CSV reference formats one row at
-a time with Python's ``%``.
+periodogram of simulated data, the CSV reference formats one row at
+a time with Python's ``%``, and the least-squares VAR fit solves through
+the SVD of an explicit design matrix instead of lag products.
 """
 
 import numpy as np
@@ -260,3 +261,37 @@ def fourier_subgrid(t_len, count=257):
     ks = np.unique(np.round(targets * t_len / (2.0 * np.pi)).astype(int))
     ks = ks[(ks >= 1) & (ks < t_len // 2)]
     return ks
+
+
+def ols_reference(samples, order):
+    """Least-squares VAR(order) fit from the explicit design matrix.
+
+    Builds the (T - order, d * order) lag matrix D, row t holding
+    x(t-1), .., x(t-order), and solves through the SVD of D instead of the
+    normal equations. Returns ``(coeffs, sigma, stderr, residuals, cond)``
+    in the layouts of ``FitResult``; ``cond`` is the condition number of
+    D^T D.
+    """
+    x = np.asarray(samples, dtype=float)
+    t_len, d = x.shape
+    design = np.hstack([x[order - u : t_len - u] for u in range(1, order + 1)])
+    response = x[order:]
+    left, s, vt = np.linalg.svd(design, full_matrices=False)
+    coef = vt.T @ ((left.T @ response) / s[:, None])
+    residuals = response - design @ coef
+    sigma = residuals.T @ residuals / (t_len - order - d * order)
+    gram_inv_diag = np.sum((vt / s[:, None]) ** 2, axis=0)
+    stderr = np.sqrt(np.diag(sigma)[None, :, None] * gram_inv_diag.reshape(order, 1, d))
+    coeffs = coef.reshape(order, d, d).transpose(0, 2, 1)
+    return coeffs, sigma, stderr, residuals, (s[0] / s[-1]) ** 2
+
+
+def sample_autocov_reference(samples, maxlag):
+    """Gamma_hat(0..maxlag) by a loop over lags of centered products / T."""
+    samples = np.asarray(samples, dtype=float)
+    t_len, d = samples.shape
+    centered = samples - samples.mean(axis=0)
+    gammas = np.empty((maxlag + 1, d, d))
+    for h in range(maxlag + 1):
+        gammas[h] = centered[h:].T @ centered[: t_len - h] / t_len
+    return gammas

@@ -453,6 +453,7 @@ NUMERICAL_ERRORS = {
     "NoConvergence",
     "NotConverged",
     "RankDeficientRegressors",
+    "UnstableFit",
 }
 ERROR_CLASSES = [
     c for c in vars(exceptions).values() if isinstance(c, type) and issubclass(c, VardtfError)
@@ -486,6 +487,20 @@ def test_negative_fit_maxlag_is_usage_error(maxlag, tmp_path, capsys):
     data = tmp_path / "trajectory.csv"
     assert run("fit", "--data", data, "--order", 1, "--maxlag", maxlag) == 2
     assert "maxlag must be non-negative" in _usage_error_line(capsys)
+
+
+def test_fit_on_a_ramp_is_a_numerical_error(tmp_path, capsys):
+    # the least-squares AR(1) weight of 0..7 is 112/91: a data outcome, not
+    # a usage error
+    data = tmp_path / "ramp.csv"
+    data.write_text("t,ch1\n" + "".join(f"{t},{t}\n" for t in range(8)), encoding="utf-8")
+    assert run("fit", "--data", data, "--order", 1) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error[numerical]: least-squares VAR(1) estimate: model is not stable: "
+        "companion spectral radius 1.23077 >= 1\n"
+    )
 
 
 @pytest.mark.parametrize(

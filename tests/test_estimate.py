@@ -1,8 +1,11 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -17,9 +20,16 @@ from vardtf import (
     whiteness_stats,
 )
 from vardtf.estimate import Trajectory, read_trajectory, write_trajectory
-from vardtf.exceptions import RankDeficientRegressors, ShapeMismatch
+from vardtf.exceptions import RankDeficientRegressors, ShapeMismatch, UnstableFit
 
-from helpers import dense_stable_model, random_stable_model, simulate_reference
+from helpers import (
+    companion_radius,
+    dense_stable_model,
+    ols_reference,
+    random_stable_model,
+    sample_autocov_reference,
+    simulate_reference,
+)
 
 # Lengths around the simulator's 64-step blocks. A 64-step burn-in keeps each
 # at the same offset in its last block; 40, the floor for order 4, leaves the
@@ -119,8 +129,67 @@ class TestSimulate:
         ratio = errs[10_000] / errs[1_000_000]
         assert 3.0 < ratio < 33.0
 
+    @pytest.mark.parametrize("t_len,dim,maxlag", [(1, 1, 0), (7, 2, 6), (500, 3, 40), (20_000, 4, 12)])
+    def test_sample_autocov_is_the_lag_loop(self, t_len, dim, maxlag):
+        samples = np.random.default_rng(t_len).normal(loc=3.0, size=(t_len, dim))
+        got = sample_autocov(samples, maxlag).gammas
+        assert np.array_equal(got, sample_autocov_reference(samples, maxlag))
+
+
+#: Allowed difference between fit_var and the design-matrix reference, per
+#: unit of the Gram matrix's condition number, relative to each quantity's
+#: scale.
+OLS_REL_TOL = 1e-12
+
 
 class TestFitVar:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        order=st.integers(1, 8),
+        extra=st.integers(1, 300),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_design_matrix_reference(self, dim, order, extra, seed):
+        # from one row above the d*q + q floor to a few hundred rows
+        t_len = dim * order + order + extra
+        traj = simulate(random_stable_model(seed, dim=dim, order=order), t_len, seed=seed)
+        coeffs, sigma, stderr, residuals, cond = ols_reference(traj.samples, order)
+        try:
+            fit = fit_var(traj, order)
+        except UnstableFit:
+            # an over-fitted estimate can be explosive: the reference agrees
+            assert companion_radius(list(coeffs)) > 1.0 - 1e-6
+            return
+        tol = OLS_REL_TOL * cond
+        scale = np.max(np.abs(traj.samples))
+        dof = fit.nobs - dim * order
+        assert_allclose(fit.model.coeffs, coeffs, rtol=0, atol=tol * max(1.0, np.max(np.abs(coeffs))))
+        assert_allclose(fit.residuals, residuals, rtol=0, atol=tol * scale)
+        assert_allclose(fit.model.sigma, sigma, rtol=0, atol=tol * scale**2 * fit.nobs / dof)
+        assert_allclose(fit.stderr, stderr, rtol=tol)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_zero_channel_is_rank_deficient(self, channel, order):
+        samples = np.random.default_rng(channel).normal(size=(400, 3))
+        samples[:, channel] = 0.0
+        with pytest.raises(RankDeficientRegressors):
+            fit_var(Trajectory(samples=samples, seed=0), order)
+
+    def test_peak_allocation_is_of_order_t_d(self):
+        # the (T - q) x dq design matrix alone would take 38 MB here
+        traj = simulate(counterexample_model(1.0, 1.0), 50_000, seed=2)
+        path_bytes = traj.samples.nbytes
+        tracemalloc.start()
+        try:
+            fit = fit_var(traj, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.nobs == 50_000 - 32
+        assert peak < 4 * path_bytes
+
     def test_scalar_ar1_recovery(self):
         m = make_var([[[0.5]]], [[1.0]])
         traj = simulate(m, 1_000_000, seed=11)

@@ -277,3 +277,21 @@ def test_first_bad_point_in_grid_order_is_named():
     with pytest.raises(SingularAtFrequency, match="inversion residual") as exc:
         invert_pointwise(FrequencyMatrix(grid, values))
     assert exc.value.frequency == grid.points[100]
+
+
+def test_first_bad_point_inside_a_block_is_named():
+    # a NaN point (a residual failure) precedes an exactly singular one in
+    # the same block: the block falls back to point-by-point inversion, which
+    # gates each point as it goes and names the NaN point
+    grid = default_grid(100)
+    values = np.broadcast_to(np.eye(2, dtype=complex), (len(grid), 2, 2)).copy()
+    values[10] = np.nan
+    values[20] = 0.0
+    with pytest.raises(SingularAtFrequency, match="inversion residual") as exc:
+        invert_pointwise(FrequencyMatrix(grid, values))
+    assert exc.value.frequency == grid.points[10]
+    values = values.copy()  # FrequencyMatrix froze the first one
+    values[10] = np.eye(2)
+    with pytest.raises(SingularAtFrequency) as exc:
+        invert_pointwise(FrequencyMatrix(grid, values))
+    assert exc.value.frequency == grid.points[20]
