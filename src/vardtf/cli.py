@@ -90,12 +90,17 @@ def _resolve(args) -> argparse.Namespace:
 
 @contextlib.contextmanager
 def _output(outdir: Path | None, name: str):
-    """The file ``name`` in ``outdir``, or stdout when there is no directory."""
+    """The file ``name`` in ``outdir``, removed if writing fails, or else stdout."""
     if outdir is None:
         yield sys.stdout
-    else:
-        with open(outdir / name, "w", encoding="utf-8") as fh:
+        return
+    with open(outdir / name, "w", encoding="utf-8") as fh:
+        try:
             yield fh
+        except BaseException:
+            fh.close()
+            (outdir / name).unlink()
+            raise
 
 
 def _write_csv(outdir: Path | None, name: str, fm: spectral.FrequencyMatrix) -> None:
@@ -134,14 +139,13 @@ def _report_table(report: causality.CausalityReport) -> str:
     return "\n".join(lines)
 
 
-def _write_reduction(args, pair: ChannelPair, transfer: spectral.FrequencyMatrix) -> tuple:
-    """Reduce a pair, write its spectra and reduction.json; returns (deficit, is_white)."""
-    red = reduction.reduce_pair(args.model, pair, transfer)
+def _write_reduction(args, red: reduction.ReducedRepresentation) -> tuple:
+    """Write a reduction's spectra and reduction.json; returns (deficit, is_white)."""
     _write_csv(args.out, "reduced_polynomial.csv", red.reduced_poly)
     _write_csv(args.out, "error_spectrum.csv", red.error_spectrum)
     deficit = reduction.whiteness_deficit(red.error_spectrum)
     white = reduction.is_white(red.error_spectrum)
-    doc = {"pair": _pair_doc(pair), "whiteness_deficit": deficit, "is_white": white}
+    doc = {"pair": _pair_doc(red.pair), "whiteness_deficit": deficit, "is_white": white}
     (args.out / "reduction.json").write_text(canonical_json(doc), encoding="utf-8")
     return deficit, white
 
@@ -176,7 +180,7 @@ def cmd_counterexample(args) -> int:
     pair = ChannelPair(target=0, source=1)
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
     _write_csv(args.out, "transfer_function.csv", report.transfer)
-    deficit, _ = _write_reduction(args, pair, report.transfer)
+    deficit, _ = _write_reduction(args, reduction.reduce_pair(model, pair, report.transfer))
     verdict = next(
         v for v in report.pairs if (v.target, v.source) == (pair.target, pair.source)
     )
@@ -219,14 +223,23 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dtf(args) -> int:
-    values = spectral.dtf(args.model, args.grid, normalized=not args.raw)
-    _write_csv(args.out, "dtf.csv", spectral.FrequencyMatrix(args.grid, values.astype(complex)))
+    with _output(args.out, "dtf.csv") as fh:
+        for i, block in enumerate(spectral.grid_blocks(args.grid)):
+            values = spectral.dtf(args.model, block, normalized=not args.raw)
+            spectral.frequency_matrix_to_csv(spectral.FrequencyMatrix(block, values), fh, i == 0)
     return 0
 
 
 def cmd_reduce(args) -> int:
-    transfer = spectral.transfer_function(args.model, args.grid)
-    deficit, white = _write_reduction(args, args.pair, transfer)
+    reds = [
+        reduction.reduce_pair(args.model, args.pair, spectral.transfer_function(args.model, b))
+        for b in spectral.grid_blocks(args.grid)
+    ]
+    poly, error = (
+        spectral.FrequencyMatrix(args.grid, np.concatenate([getattr(r, name).values for r in reds]))
+        for name in ("reduced_poly", "error_spectrum")
+    )
+    deficit, white = _write_reduction(args, reduction.ReducedRepresentation(args.pair, poly, error))
     print(f"whiteness_deficit={deficit:.6g} is_white={white}")
     return 0
 

@@ -59,6 +59,10 @@ class DegenerateRow(NumericalError):
     """An entire transfer-function row vanishes; row-normalization undefined."""
 
 
+class SpectrumOverflow(NumericalError):
+    """A spectral quantity left the double range (inf or NaN) at some frequency."""
+
+
 class DimensionTooSmall(VardtfError):
     """Marginalization requires strictly more channels than are retained."""
 

@@ -248,9 +248,11 @@ def write_csv(fh, header: list, first: np.ndarray, rest: np.ndarray) -> None:
     ``FLOAT_FORMAT % x``, so integral values such as row indices print
     without a decimal point, nan and inf are written bare and -0 keeps its
     sign. Rows are formatted ``CSV_CHUNK_CELLS`` cells at a time by the
-    numpy kernel described in the module docstring.
+    numpy kernel described in the module docstring. An empty header writes
+    no header line, so successive blocks of rows continue one table.
     """
-    fh.write(",".join(header) + "\n")
+    if header:
+        fh.write(",".join(header) + "\n")
     width = 1 + rest.shape[1]
     rows = max(1, CSV_CHUNK_CELLS // width)
     eol = np.zeros((rows, width), bool)

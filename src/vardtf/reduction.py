@@ -112,6 +112,8 @@ def reduce_pair(
     ------
     SingularAtFrequency
         Where H_SS is singular, i.e. where A_RR(lambda) is.
+    SpectrumOverflow
+        Where the error spectrum leaves the double range.
     """
     retained = _split_indices(model.dim, pair)
     rows = transfer.values[:, retained]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateRow, ShapeMismatch, SingularAtFrequency
+from .exceptions import DegenerateRow, ShapeMismatch, SingularAtFrequency, SpectrumOverflow
 from .jsonio import write_csv
 from .model import VarModel
 
@@ -29,8 +29,8 @@ DEFAULT_GRID_COUNT = 257
 #: is reported as singular.
 INVERSION_RESIDUAL_TOL = 1e-10
 
-#: Grid points per block of the pointwise inversion and its residual check,
-#: so that their temporaries stay small next to the matrices themselves.
+#: Most grid points per block of ``grid_blocks`` and of the pointwise inversion
+#: and its residual check, so that temporaries stay small next to the matrices.
 RESIDUAL_CHUNK = 512
 
 
@@ -55,6 +55,13 @@ class FrequencyGrid:
 
     def __len__(self) -> int:
         return self.points.size
+
+
+def grid_blocks(grid: FrequencyGrid):
+    """The grid in order as ceil(n / RESIDUAL_CHUNK) sub-grids of near-equal size,
+    2 to RESIDUAL_CHUNK points each; a grid of at most that is one block."""
+    parts = -(-len(grid) // RESIDUAL_CHUNK)
+    return (FrequencyGrid(points) for points in np.array_split(grid.points, parts))
 
 
 def default_grid(
@@ -130,8 +137,9 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
 def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     """Inverse of a square FrequencyMatrix at every grid point.
 
-    Blocks of RESIDUAL_CHUNK points are inverted and gated in grid order.
-    A block with a singular point is inverted and gated point by point.
+    Blocks of RESIDUAL_CHUNK points are inverted and gated in grid order
+    (a matrix of at most that many points is inverted in one call). A block
+    with a singular point is inverted and gated point by point.
 
     Raises
     ------
@@ -155,7 +163,10 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     for start in range(0, values.shape[0], RESIDUAL_CHUNK):
         block = slice(start, start + RESIDUAL_CHUNK)
         try:
-            inv[block] = np.linalg.inv(values[block])
+            if values.shape[0] <= RESIDUAL_CHUNK:  # one block: LAPACK's result, not a copy
+                inv = np.linalg.inv(values)
+            else:
+                inv[block] = np.linalg.inv(values[block])
         except np.linalg.LinAlgError:  # one singular matrix fails the whole block
             for m in range(*block.indices(values.shape[0])):
                 try:
@@ -178,11 +189,13 @@ def spectral_density(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
 
 
 def density_from_transfer(h: FrequencyMatrix, sigma: np.ndarray) -> FrequencyMatrix:
-    """Spectral density of an already-computed transfer function."""
+    """Spectral density of an already-computed transfer function; SpectrumOverflow
+    at the first frequency where it leaves the double range."""
     hv = h.values
-    f = hv @ sigma @ hv.conj().transpose(0, 2, 1)
-    f = 0.5 * (f + f.conj().transpose(0, 2, 1)) / (2.0 * np.pi)
-    return FrequencyMatrix(grid=h.grid, values=f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = hv @ sigma @ hv.conj().transpose(0, 2, 1)
+        f = 0.5 * (f + f.conj().transpose(0, 2, 1)) / (2.0 * np.pi)
+    return FrequencyMatrix(grid=h.grid, values=_check_finite(f, h.grid, "spectral density"))
 
 
 def dtf(model: VarModel, grid: FrequencyGrid, normalized: bool = True) -> np.ndarray:
@@ -203,6 +216,8 @@ def dtf(model: VarModel, grid: FrequencyGrid, normalized: bool = True) -> np.nda
     DegenerateRow
         If a whole row of H vanishes at some frequency, so the row cannot
         be normalized.
+    SpectrumOverflow
+        If, not normalized, some |H_jk|^2 exceeds the largest double.
     """
     return dtf_from_transfer(transfer_function(model, grid), normalized)
 
@@ -211,7 +226,8 @@ def dtf_from_transfer(h: FrequencyMatrix, normalized: bool = True) -> np.ndarray
     """Directed transfer function of an already-computed transfer function."""
     modulus = np.abs(h.values)
     if not normalized:
-        return modulus**2
+        with np.errstate(over="ignore"):
+            return _check_finite(modulus**2, h.grid, "|H|^2")
     # Scaling a row by a power of two is exact, so the ratios are those of |H|^2;
     # by 2^-k, k the exponent of the row's largest modulus, no square overflows.
     exponent = np.frexp(modulus.max(axis=2, keepdims=True))[1]
@@ -226,17 +242,27 @@ def dtf_from_transfer(h: FrequencyMatrix, normalized: bool = True) -> np.ndarray
     return power / row_power
 
 
-def frequency_matrix_to_csv(fm: FrequencyMatrix, fh) -> None:
+def _check_finite(values: np.ndarray, grid: FrequencyGrid, what: str) -> np.ndarray:
+    """``values`` (one array per grid point), or SpectrumOverflow where first not finite."""
+    bad = np.flatnonzero(~np.isfinite(values).reshape(len(grid), -1).all(axis=1))
+    if bad.size:
+        at = grid.points[bad[0]]
+        raise SpectrumOverflow(f"{what} overflows at frequency {at:.6g} rad/sample")
+    return values
+
+
+def frequency_matrix_to_csv(fm: FrequencyMatrix, fh, header: bool = True) -> None:
     """Write a FrequencyMatrix as CSV.
 
     Header: ``lambda`` followed by ``re_j_k,im_j_k`` for every entry in
-    row-major order, channel indices 1-based.
+    row-major order, channel indices 1-based. Without ``header`` only the
+    rows are written, so successive blocks of one grid continue one table.
     """
     n, rows, cols = fm.values.shape
-    header = ["lambda"]
+    names = ["lambda"]
     for j in range(1, rows + 1):
         for k in range(1, cols + 1):
-            header += [f"re_{j}_{k}", f"im_{j}_{k}"]
+            names += [f"re_{j}_{k}", f"im_{j}_{k}"]
     # Viewing complex entries as float pairs interleaves re and im in place.
     cells = np.ascontiguousarray(fm.values).reshape(n, -1).view(float)
-    write_csv(fh, header, fm.grid.points, cells)
+    write_csv(fh, names if header else [], fm.grid.points, cells)

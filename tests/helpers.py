@@ -6,13 +6,20 @@ recursion, the reduction is block substitution on A(lambda) instead of
 the inverse of a block of H(lambda), the spectral oracle is a smoothed
 periodogram of simulated data, the CSV reference formats one row at
 a time with Python's ``%``, and the least-squares VAR fit solves through
-the SVD of an explicit design matrix instead of lag products.
+the SVD of an explicit design matrix instead of lag products. The
+whole-grid references for the streamed ``dtf`` and ``reduce`` commands
+evaluate H on the whole grid at once, as those commands did before they
+worked in blocks.
 """
+
+import io
 
 import numpy as np
 from scipy.linalg import solve_discrete_are
 
 from vardtf import ChannelPair, companion_matrix, make_var
+from vardtf.reduction import reduce_pair
+from vardtf.spectral import FrequencyMatrix, dtf, frequency_matrix_to_csv, transfer_function
 
 
 def random_stable_model(seed, dim=3, order=2, radius=0.6, sigma="random", lagless=()):
@@ -206,6 +213,23 @@ def write_csv_reference(fh, header, first, rest):
     fmt = ",".join(["%.17g"] * (1 + rest.shape[1])) + "\n"
     for row in np.column_stack((first, rest)).tolist():
         fh.write(fmt % tuple(row))
+
+
+def frequency_csv(fm):
+    """``frequency_matrix_to_csv`` of ``fm`` as a string."""
+    buf = io.StringIO()
+    frequency_matrix_to_csv(fm, buf)
+    return buf.getvalue()
+
+
+def dtf_csv_reference(model, grid, normalized=True):
+    """``dtf.csv`` from the whole grid's DTF, cast to complex as one table."""
+    return frequency_csv(FrequencyMatrix(grid, dtf(model, grid, normalized).astype(complex)))
+
+
+def reduction_reference(model, pair, grid):
+    """``reduce_pair`` on the transfer function of the whole grid."""
+    return reduce_pair(model, pair, transfer_function(model, grid))
 
 
 def simulate_reference(model, length, seed, burn_in):

@@ -448,6 +448,7 @@ NUMERICAL_ERRORS = {
     "NumericalError",
     "SingularAtFrequency",
     "DegenerateRow",
+    "SpectrumOverflow",
     "SingularToeplitz",
     "NumericalBreakdown",
     "NoConvergence",

@@ -1,0 +1,149 @@
+"""The ``dtf`` and ``reduce`` commands take the grid one block at a time.
+
+Their outputs equal the whole-grid computation byte for byte across block
+boundaries, a failure after some blocks leaves no partial file, overflow is
+a named numerical failure, and their allocation peak stays below half of one
+whole-grid transfer function.
+"""
+
+import json
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from vardtf import ChannelPair, counterexample_model, spectral, write_model
+from vardtf.cli import main
+from vardtf.exceptions import SingularAtFrequency
+from vardtf.reduction import is_white, whiteness_deficit
+
+from helpers import dtf_csv_reference, frequency_csv, random_stable_model, reduction_reference
+
+#: Around one and two blocks of 512 points, and the fine bench grid.
+GRID_COUNTS = [2, 3, 512, 513, 1024, 1025, 16385]
+
+#: Fixed before measuring: below half of one whole-grid H at d=12 on 16385
+#: points (16385 * 144 complex doubles, 37.8 MB).
+PEAK_BOUND_BYTES = 15e6
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(params=["counterexample", "random_d4"])
+def case(request, tmp_path):
+    """(model, CLI model arguments, 1-based pair text, pair)."""
+    if request.param == "counterexample":
+        model = counterexample_model(0.7, -1.3)
+        return model, ("--alpha", 0.7, "--beta", -1.3), "1,2", ChannelPair(target=0, source=1)
+    model = random_stable_model(3, dim=4, order=2, radius=0.8)
+    path = tmp_path / "model.json"
+    write_model(model, path)
+    return model, ("--model", path), "4,2", ChannelPair(target=3, source=1)
+
+
+@pytest.mark.parametrize("count", GRID_COUNTS)
+def test_dtf_equals_the_whole_grid_table(case, count, tmp_path, capsys):
+    model, margs, _, _ = case
+    grid = spectral.default_grid(count)
+    for flags in ((), ("--raw",)):
+        expected = dtf_csv_reference(model, grid, normalized=not flags)
+        assert run("dtf", *margs, "--grid", count, *flags) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / f"out{len(flags)}"
+        assert run("dtf", *margs, "--grid", count, *flags, "--out", out) == 0
+        assert (out / "dtf.csv").read_bytes() == expected.encode()
+    band = spectral.default_grid(count, 2.0 * np.pi * 5.0 / 100.0, 2.0 * np.pi * 40.0 / 100.0)
+    assert run("dtf", *margs, "--grid", count, "--fs", 100, "--band", "5,40") == 0
+    assert capsys.readouterr().out == dtf_csv_reference(model, band)
+
+
+@pytest.mark.parametrize("count", GRID_COUNTS)
+def test_reduce_equals_the_whole_grid_reduction(case, count, tmp_path, capsys):
+    model, margs, pair_text, pair = case
+    out = tmp_path / "red"
+    assert run("reduce", *margs, "--pair", pair_text, "--grid", count, "--out", out) == 0
+    ref = reduction_reference(model, pair, spectral.default_grid(count))
+    assert (out / "reduced_polynomial.csv").read_bytes() == frequency_csv(ref.reduced_poly).encode()
+    assert (out / "error_spectrum.csv").read_bytes() == frequency_csv(ref.error_spectrum).encode()
+    deficit, white = whiteness_deficit(ref.error_spectrum), is_white(ref.error_spectrum)
+    doc = json.loads((out / "reduction.json").read_text(encoding="utf-8"))
+    assert (doc["whiteness_deficit"], doc["is_white"]) == (deficit, white)
+    assert capsys.readouterr().out == f"whiteness_deficit={deficit:.6g} is_white={white}\n"
+
+
+def _fail_on_second_block(monkeypatch):
+    """Make ``spectral.dtf`` raise on its second call; returns the block sizes seen."""
+    real, sizes = spectral.dtf, []
+
+    def dtf(model, grid, normalized=True):
+        sizes.append(len(grid))
+        if len(sizes) == 2:
+            raise SingularAtFrequency(grid.points[0])
+        return real(model, grid, normalized)
+
+    monkeypatch.setattr(spectral, "dtf", dtf)
+    return sizes
+
+
+def _numerical_error_line(err: str) -> str:
+    assert err.count("\n") == 1 and err.startswith("error[numerical]: ")
+    return err
+
+
+def test_failed_dtf_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    sizes = _fail_on_second_block(monkeypatch)
+    out = tmp_path / "out"
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 1025, "--out", out) == 1
+    assert sizes == [342, 342]
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "singular matrix at frequency" in _numerical_error_line(captured.err)
+
+
+def test_failed_dtf_on_stdout_keeps_the_blocks_written(monkeypatch, capsys):
+    # rows already on stdout cannot be taken back: the header and the first
+    # block's 342 rows stay, then the one error line
+    _fail_on_second_block(monkeypatch)
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 1025) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 + 342
+    _numerical_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("dtf", "--alpha", 1e200, "--beta", 1, "--raw"), "|H|^2 overflows at frequency 0 "),
+        (("reduce", "--alpha", 1e200, "--beta", 1e200, "--pair", "1,2"),
+         "spectral density overflows at frequency 0 "),
+    ],
+    ids=["dtf-raw", "reduce"],
+)
+def test_overflow_is_a_named_numerical_failure(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may escape
+        assert run(*argv, "--out", out) == 1
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in _numerical_error_line(captured.err)
+
+
+@pytest.mark.parametrize("command,extra", [("dtf", ()), ("reduce", ("--pair", "1,2"))])
+def test_peak_allocation_is_below_half_of_one_whole_grid_h(command, extra, tmp_path):
+    assert PEAK_BOUND_BYTES < 16385 * 12 * 12 * 16 / 2
+    path = tmp_path / "model.json"
+    write_model(random_stable_model(1, dim=12, order=4, radius=0.9), path)
+    argv = (command, "--model", path, "--grid", 16385, "--out", tmp_path / "out", *extra)
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND_BYTES

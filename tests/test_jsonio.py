@@ -106,3 +106,13 @@ class TestTableShape:
     def test_integer_first_column(self):
         rows = CSV_CHUNK_CELLS + 17
         self._check(rows, 3, first=np.arange(rows))
+
+
+def test_an_empty_header_continues_a_table():
+    rng = np.random.default_rng(5)
+    first, rest = np.arange(40.0), rng.normal(size=(40, 3))
+    whole, blocks = io.StringIO(), io.StringIO()
+    write_csv(whole, ["t", "a", "b", "c"], first, rest)
+    for start, stop, header in ((0, 7, ["t", "a", "b", "c"]), (7, 8, []), (8, 40, [])):
+        write_csv(blocks, header, first[start:stop], rest[start:stop])
+    assert blocks.getvalue() == whole.getvalue()

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,13 +16,15 @@ from vardtf import (
     spectral_density,
     transfer_function,
 )
-from vardtf.exceptions import DegenerateRow, ShapeMismatch, SingularAtFrequency
+from vardtf.exceptions import DegenerateRow, ShapeMismatch, SingularAtFrequency, SpectrumOverflow
 from vardtf.spectral import (
     RESIDUAL_CHUNK,
     FrequencyGrid,
     FrequencyMatrix,
+    density_from_transfer,
     dtf_from_transfer,
     frequency_matrix_to_csv,
+    grid_blocks,
     invert_pointwise,
 )
 
@@ -63,6 +66,26 @@ class TestGrid:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ShapeMismatch, match="finite"):
             FrequencyGrid(np.array([0.0, bad]))
+
+
+class TestGridBlocks:
+    @pytest.mark.parametrize("count", [2, 3, 511, 512, 513, 1024, 1025, 16385])
+    def test_even_blocks_in_grid_order(self, count):
+        grid = default_grid(count)
+        sizes = [len(b) for b in grid_blocks(grid)]
+        assert len(sizes) == -(-count // RESIDUAL_CHUNK)
+        assert max(sizes) <= RESIDUAL_CHUNK and max(sizes) - min(sizes) <= 1
+        points = np.concatenate([b.points for b in grid_blocks(grid)])
+        assert np.array_equal(points, grid.points)
+
+    def test_fine_grid(self):
+        sizes = [len(b) for b in grid_blocks(default_grid(16385))]
+        assert len(sizes) == 33 and set(sizes) == {496, 497}
+
+    def test_small_grid_is_one_equal_block(self):
+        grid = default_grid(RESIDUAL_CHUNK, 0.5, 1.5)
+        (block,) = grid_blocks(grid)
+        assert np.array_equal(block.points, grid.points)
 
 
 class TestCharPolynomial:
@@ -181,6 +204,15 @@ class TestSpectralDensity:
         eigs = np.linalg.eigvalsh(f.values)
         assert eigs.min() >= -1e-10
 
+    def test_overflow_names_the_first_bad_frequency(self):
+        grid = default_grid(9)
+        values = np.broadcast_to(np.eye(2, dtype=complex), (9, 2, 2)).copy()
+        values[5:, 1, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumOverflow, match=f"at frequency {grid.points[5]:.6g} rad"):
+                density_from_transfer(FrequencyMatrix(grid, values), np.eye(2))
+
     def test_periodogram_oracle(self):
         m = random_stable_model(42, dim=3, order=2, radius=0.55)
         traj = simulate(m, 200_000, seed=9, burn_in=1000)
@@ -245,6 +277,17 @@ class TestDtf:
         vals = dtf(counterexample_model(1e200, 1.0), default_grid(9))
         assert np.all(np.isfinite(vals))
         assert np.all(vals[:, 0, 2] == 1.0)
+
+    def test_raw_overflow_names_the_first_bad_frequency(self):
+        grid = default_grid(9)
+        values = np.broadcast_to(np.eye(3, dtype=complex), (9, 3, 3)).copy()
+        values[3:, 0, 2] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumOverflow, match=f"at frequency {grid.points[3]:.6g} rad"):
+                dtf_from_transfer(FrequencyMatrix(grid, values), normalized=False)
+            # normalized rows are scaled first, so the same H is finite there
+            assert np.all(dtf_from_transfer(FrequencyMatrix(grid, values))[3:, 0, 2] == 1.0)
 
     def test_degenerate_row_reported(self):
         grid = default_grid(3)
