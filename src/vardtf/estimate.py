@@ -21,7 +21,6 @@ O(T d q) of a design matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg, special
 
 from .exceptions import RankDeficientRegressors, ShapeMismatch, Unstable, UnstableFit
-from .jsonio import write_csv
+from .jsonio import read_csv, write_csv
 from .model import VarModel, companion_matrix
 from .moments import AutocovSequence
 
@@ -302,24 +301,22 @@ def write_trajectory(traj: Trajectory, fh) -> None:
 
 
 def read_trajectory(fh) -> Trajectory:
-    """Read a trajectory from the CSV format written by ``write_trajectory``."""
+    """Read a trajectory from the CSV format written by ``write_trajectory``.
+
+    Rows are read by ``jsonio.read_csv``: every sample is ``float()`` of its
+    text, and the reader holds the samples and one chunk of lines. A
+    malformed file raises ShapeMismatch.
+    """
     header = fh.readline().strip().split(",")
     if not header or header[0] != "t":
         raise ShapeMismatch("trajectory CSV must start with a 't' column")
     dim = len(header) - 1
     if dim < 1:
         raise ShapeMismatch("trajectory CSV has no channel columns")
-    with warnings.catch_warnings():
-        # loadtxt warns on a header-only file; that case is raised below.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            data = np.loadtxt(
-                (line for line in fh if line.strip()), delimiter=",", ndmin=2
-            )
-        except ValueError as exc:
-            raise ShapeMismatch(f"malformed trajectory CSV: {exc}") from None
-    if data.shape[0] == 0:
+    try:
+        samples = read_csv(fh, dim + 1)
+    except ValueError as exc:
+        raise ShapeMismatch(f"malformed trajectory CSV: {exc}") from None
+    if len(samples) == 0:
         raise ShapeMismatch("trajectory CSV has no rows")
-    if data.shape[1] != dim + 1:
-        raise ShapeMismatch(f"trajectory rows have {data.shape[1]} cells, not {dim + 1}")
-    return Trajectory(data[:, 1:], seed=0)
+    return Trajectory(samples, seed=0)

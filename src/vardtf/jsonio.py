@@ -1,4 +1,5 @@
-"""Deterministic JSON and CSV emission for reports, tables and model files.
+"""Deterministic JSON and CSV emission for reports, tables and model files,
+and the exact reader of those CSV tables.
 
 The stdlib encoder prints floats with ``repr``, whose output is the shortest
 round-tripping string and therefore varies in digit count. Outputs here must
@@ -26,6 +27,38 @@ Zero and -0 take the same path. Every other cell (nan, +-inf, magnitudes
 outside that range, and any whose k did not settle) is formatted with
 ``FLOAT_FORMAT %`` on its own. Chunks of ``CSV_CHUNK_CELLS`` cells are
 joined by dropping the zero padding bytes of each cell's 32-byte slot.
+
+``read_csv`` reads such tables back, and every cell it returns equals
+``float()`` of the cell's text. Converting 17-digit cells one at a time
+with ``strtod`` costs about half a microsecond each; here a chunk of
+lines is read at once. ``np.fromstring`` reads each cell's digits, point
+dropped, as one C integer N, and the point's position gives the scale s
+(digits after it). A cell of the form
+``-?[digits][.][digits]`` (at least one digit) with N < 10**18 and s <= 22,
+so that 10**s is an exact double, takes the fast path:
+
+* N < 2**53: N and 10**s are exact doubles, so q = fl(N / 10**s) is the
+  correctly rounded quotient (Clinger's fast path).
+* Otherwise N = N_hi + N_lo with N_hi = fl(N) and N_lo exact, and
+  q = fl(N_hi / 10**s). Dekker's product gives hi + lo = q * 10**s exactly.
+  The remainder r = N - q * 10**s is (N_hi - hi) + N_lo - lo: N_hi - hi is
+  exact (Sterbenz), its sum with N_lo is exact (integers below 2**9), and
+  subtracting lo rounds once. Dividing by 10**s rounds once more, so the
+  correction c is r / 10**s to within a relative 2**-52 + 2**-106. The
+  exact quotient q + r / 10**s lies in q + [c - m, c + m] for m = 2**-50 |c|,
+  a margin that also covers the rounding of c - m and c + m. Rounding to
+  nearest is monotonic: if q + (c - m) and q + (c + m) round to the same
+  double, the exact quotient rounds to it too. If they do not, a rounding
+  midpoint lies within m of q + c, that is within 2**-49 units in the last
+  place (|c| is at most two of them), and the cell goes to the fallback.
+
+The fallback reads a cell with ``float()`` after stripping surrounding
+whitespace, and refuses digit-group underscores and non-ASCII characters,
+which ``float()`` alone would take. It reads every cell off the fast path:
+exponent notation, "+", nan and inf, too many digits, and the cells near
+a rounding midpoint. Lines are read in chunks of ``CSV_CHUNK_CHARS``
+characters, each completed to a whole line, into an array grown in place,
+so the reader holds the table and one chunk's working set (about 0.25 MB).
 """
 
 from __future__ import annotations
@@ -38,6 +71,11 @@ FLOAT_FORMAT = "%.17g"
 #: Cells formatted per kernel call. The kernel holds a few hundred bytes per
 #: cell, so this bounds its working set (a few MB) whatever the table width.
 CSV_CHUNK_CELLS = 8192
+
+#: Characters read per ``read_csv`` chunk, before the chunk is completed to
+#: a whole line. Besides the table, the reader holds about 8 bytes per
+#: character of a chunk.
+CSV_CHUNK_CHARS = 1 << 15
 
 
 def _format_float(x: float) -> str:
@@ -169,20 +207,31 @@ _MASKS = np.array(
 )
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
-    """``hi + lo == a * 10**(16 - k)`` exactly, and the step that moves k to
-    the exponent putting that product in [1e16, 1e17).
+def _times_pow10(a: np.ndarray, s: np.ndarray) -> tuple:
+    """``hi + lo == a * 10**s`` exactly, for 0 <= s <= 22.
 
     Dekker's product: both factors are split into 26-bit halves whose
     partial products are exact, so ``lo`` is the rounding error of ``hi``.
     """
-    s = 16 - k
     ph, pl = _POW10_HI[s], _POW10_LO[s]
     hi = a * _POW10[s]
-    c = _SPLIT * a
-    ah = c - (c - a)
+    ah = _SPLIT * a
+    ah -= ah - a
     al = a - ah
-    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    # lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl, in place
+    lo = ah * ph
+    lo -= hi
+    lo += ah * pl
+    lo += al * ph
+    al *= pl
+    lo += al
+    return hi, lo
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
+    """``hi + lo == a * 10**(16 - k)`` exactly, and the step that moves k to
+    the exponent putting that product in [1e16, 1e17)."""
+    hi, lo = _times_pow10(a, 16 - k)
     up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
     down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     return hi, lo, up.astype(np.int64) - down
@@ -261,3 +310,132 @@ def write_csv(fh, header: list, first: np.ndarray, rest: np.ndarray) -> None:
         stop = start + rows
         block = np.column_stack((first[start:stop], rest[start:stop])).astype(float, copy=False)
         fh.write(_format_cells(block.ravel(), eol[: len(block)].ravel()))
+
+
+# read_csv's fast path: the largest scale s, and the bound on the significand.
+_MAX_SCALE = len(_POW10) - 1
+_MAX_SIGNIFICAND = 10**18
+_COMMA, _NEWLINE, _POINT, _MINUS = b",\n.-"
+# A cell's digits for np.fromstring: "," and "\n" end the cell, the point is
+# dropped (as a delete argument) and every other byte reads as "0".
+_DIGITS_ONLY = bytes(c if 48 <= c < 58 else _COMMA if c in b",\n" else 48 for c in range(256))
+
+
+def _quotients(n: np.ndarray, s: np.ndarray) -> tuple:
+    """``n / 10**s`` rounded to nearest, and where that rounding is certain
+    (the bound is derived in the module docstring)."""
+    n_hi = n.astype(float)
+    n_lo = n - n_hi.astype(np.int64)
+    power = _POW10[s]
+    q = n_hi / power
+    hi, lo = _times_pow10(q, s)
+    # correction = (((n_hi - hi) + n_lo) - lo) / power, in place
+    correction = n_hi
+    correction -= hi
+    correction += n_lo
+    correction -= lo
+    correction /= power
+    margin = np.abs(correction) * 2.0**-50
+    x = q + (correction - margin)
+    small = n < 2**53
+    return np.where(small, q, x), small | (x == q + (correction + margin))
+
+
+def _read_cell(text: str, row: int) -> float:
+    """``float()`` of a cell off the fast path, with whitespace stripped and
+    underscores and non-ASCII characters refused."""
+    cell = text.strip()
+    if cell.isascii() and "_" not in cell:
+        try:
+            return float(cell)
+        except ValueError:
+            pass
+    raise ValueError(f"row {row}: cannot read {text!r} as a number")
+
+
+def _cells(text: str, width: int, row0: int):
+    """Per cell of a chunk of whole lines, each ending in "\\n": its end,
+    its sign, its scale, its digits as one integer N, and whether it has
+    the form -?[digits][.][digits]; None unless every line has ``width``
+    cells. ``row0`` rows came before the chunk."""
+    raw = text.encode("ascii", "replace")
+    b = np.frombuffer(raw, np.uint8)
+    at = (b < 48).nonzero()[0]  # separators, points, minus signs, whitespace
+    kinds = b[at]
+    seps = ((kinds == _COMMA) | (kinds == _NEWLINE)).nonzero()[0]
+    if len(seps) % width:
+        return None
+    lines = (kinds[seps] == _NEWLINE).reshape(-1, width)
+    if not lines[:, -1].all() or lines[:, :-1].any():
+        return None
+    ends = at[seps]
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # inner: the cell's bytes below "0"; a cell of nothing else is no number
+    inner = np.empty_like(seps)
+    inner[0] = seps[0]
+    inner[1:] = seps[1:] - seps[:-1] - 1
+    bare = (ends - starts == inner).nonzero()[0]
+    if bare.size:
+        i = bare[0]
+        raise ValueError(f"row {row0 + i // width + 1}: cannot read {text[starts[i] : ends[i]]!r} as a number")
+    # the byte before each cell's end that is below "0": its point, if any
+    last = seps - 1
+    point = kinds[last] == _POINT
+    negative = b[starts] == _MINUS
+    grammar = inner - point == negative
+    if b.max() > 57:  # letters ("e" included) and non-ASCII characters
+        grammar[np.searchsorted(ends, (b > 57).nonzero()[0])] = False
+    n = np.fromstring(raw.translate(_DIGITS_ONLY, b"."), np.int64, sep=",")
+    return ends, negative, (ends - 1 - at[last]) * point, n, grammar
+
+
+def _read_rows(text: str, width: int, row0: int) -> np.ndarray:
+    """The (rows, width) cells of a chunk of whole lines, each ending in
+    "\\n"; ``row0`` rows came before it."""
+    cells = _cells(text, width, row0)
+    if cells is None:  # blank lines, or a row of another width
+        lines = [line for line in text.split("\n") if line.strip()]
+        for i, line in enumerate(lines):
+            if line.count(",") + 1 != width:
+                raise ValueError(f"row {row0 + i + 1}: {line.count(',') + 1} cells, expected {width}")
+        if not lines:
+            return np.empty((0, width))
+        text = "\n".join(lines) + "\n"
+        cells = _cells(text, width, row0)
+    ends, negative, scale, n, fast = cells
+    fast &= (scale <= _MAX_SCALE) & (n < _MAX_SIGNIFICAND)
+    x, exact = _quotients(np.multiply(n, fast, out=n), np.multiply(scale, fast, out=scale))
+    x = np.where(negative, -x, x)
+    for i in (~(fast & exact)).nonzero()[0]:
+        start = ends[i - 1] + 1 if i else 0
+        x[i] = _read_cell(text[start : ends[i]], row0 + i // width + 1)
+    return x.reshape(-1, width)
+
+
+def read_csv(fh, width: int) -> np.ndarray:
+    """Read the rest of a CSV table of ``width`` numeric cells per line.
+
+    The inverse of ``write_csv`` past its header: returns the (n, width - 1)
+    array of each row's cells after the first, for ``width`` >= 2. The
+    first cells are read, so a malformed one still raises, but not kept.
+    Blank and whitespace-only lines are skipped. Every cell is ``float()`` of its text
+    (the fast path and its fallback are described in the module docstring).
+
+    Raises
+    ------
+    ValueError
+        A line does not have ``width`` cells, or a cell is not a number.
+    """
+    out = np.empty((0, width - 1))
+    rows = 0
+    while text := fh.read(CSV_CHUNK_CHARS):
+        text += fh.readline()
+        block = _read_rows(text if text.endswith("\n") else text + "\n", width, rows)
+        if rows + len(block) > len(out):
+            out.resize((max(rows + len(block), len(out) * 5 // 4), width - 1), refcheck=False)
+        out[rows : rows + len(block)] = block[:, 1:]
+        rows += len(block)
+    out.resize((rows, width - 1), refcheck=False)
+    return out

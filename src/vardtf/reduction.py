@@ -130,6 +130,17 @@ def reduce_pair(
     )
 
 
+def _power_of_two_scaled(m: np.ndarray) -> tuple:
+    """``m`` with each matrix over the last two axes scaled by 2^-k, and k:
+    k is the exponent of the matrix's largest real or imaginary part, or 0
+    where that is below 1/2. The scaling is exact, so a Frobenius norm of
+    the scaled matrix times 2^k has the bits of the unscaled norm wherever
+    that did not overflow, and no square overflows."""
+    largest = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), keepdims=True)
+    exponent = np.maximum(np.frexp(largest)[1], 0)
+    return m * np.ldexp(1.0, -exponent), exponent[..., 0, 0]
+
+
 def whiteness_deficit(spectrum: FrequencyMatrix) -> float:
     """Sup-norm deviation of a spectral matrix from its frequency average.
 
@@ -137,17 +148,19 @@ def whiteness_deficit(spectrum: FrequencyMatrix) -> float:
     the grid average of 2 pi f(lambda). Zero exactly when the spectrum is
     constant, i.e. when the underlying process is white. The full complex
     matrix enters the norm, so an off-diagonal entry of constant modulus but
-    drifting phase is correctly flagged as non-white.
+    drifting phase is correctly flagged as non-white. Each point's deviation
+    is normed scaled by a power of two, so a finite deficit reads finite.
     """
     scaled = 2.0 * np.pi * spectrum.values
-    mean = scaled.mean(axis=0)
-    return float(np.max(np.linalg.norm(scaled - mean, axis=(1, 2))))
+    deviation, exponent = _power_of_two_scaled(scaled - scaled.mean(axis=0))
+    return float(np.max(np.ldexp(np.linalg.norm(deviation, axis=(1, 2)), exponent)))
 
 
 def is_white(spectrum: FrequencyMatrix) -> bool:
     """Boolean whiteness verdict: deficit relative to the mean within WHITE_REL_TOL."""
     scaled = 2.0 * np.pi * spectrum.values
-    scale = np.linalg.norm(scaled.mean(axis=0), "fro")
+    mean, exponent = _power_of_two_scaled(scaled.mean(axis=0))
+    scale = float(np.ldexp(np.linalg.norm(mean, "fro"), exponent))
     if scale == 0.0:
         return True
     return whiteness_deficit(spectrum) / scale <= WHITE_REL_TOL

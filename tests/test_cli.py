@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -490,6 +491,31 @@ def test_negative_fit_maxlag_is_usage_error(maxlag, tmp_path, capsys):
     assert "maxlag must be non-negative" in _usage_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"t,ch1,ch2\n0,1.0,2.0\n1,3.0\n",
+        b"t,ch1\n0,1.0,2.0\n1,3.0,4.0\n",
+        b"t,ch1\n0,1.0,\n",
+        b"t,ch1\n0,abc\n",
+        b"t,ch1\n0,1_0\n",
+        b"t,ch1\n0,nan\n",
+        b"t,ch1\n0,inf\n",
+        b"t,ch1\n0,1.5\xff\n",
+        b"t,ch1\n# note\n0,1\n1,2\n",
+        b"t,ch1\n0,1.5 # note\n",
+        b"t,ch1\n\n",
+    ],
+    ids=["ragged", "too_wide", "trailing_comma", "abc", "underscore", "nan", "inf",
+         "invalid_utf8", "comment_line", "trailing_comment", "no_rows"],
+)
+def test_fit_on_a_malformed_trajectory_is_a_usage_error(content, tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(content)
+    assert run("fit", "--data", data, "--order", 1) == 2
+    assert "Traceback" not in _usage_error_line(capsys)
+
+
 def test_fit_on_a_ramp_is_a_numerical_error(tmp_path, capsys):
     # the least-squares AR(1) weight of 0..7 is 112/91: a data outcome, not
     # a usage error
@@ -647,3 +673,13 @@ def test_counterexample_pair_failure_is_numerical_error(tmp_path, monkeypatch, c
         "error[numerical]: doubling iteration for the Lyapunov equation stalled\n"
     )
     assert not (tmp_path / "report.json").exists()
+
+
+def test_reduce_of_a_huge_finite_spectrum_has_a_finite_deficit(tmp_path, capsys):
+    # the error spectrum is about 1e200: finite, though squaring it is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("reduce", "--alpha", 1e100, "--beta", 1e100, "--pair", "1,2", "--out", tmp_path) == 0
+    assert capsys.readouterr().out == "whiteness_deficit=1.67459e+200 is_white=False\n"
+    doc = json.loads((tmp_path / "reduction.json").read_text())
+    assert np.isfinite(doc["whiteness_deficit"]) and doc["is_white"] is False

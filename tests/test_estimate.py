@@ -1,11 +1,13 @@
 import io
 import itertools
 import tracemalloc
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -19,6 +21,7 @@ from vardtf import (
     simulate,
     whiteness_stats,
 )
+from vardtf import jsonio
 from vardtf.estimate import Trajectory, read_trajectory, write_trajectory
 from vardtf.exceptions import RankDeficientRegressors, ShapeMismatch, UnstableFit
 
@@ -378,3 +381,198 @@ class TestTrajectoryIo:
     def test_non_finite_rejected(self):
         with pytest.raises(ShapeMismatch):
             Trajectory(samples=np.array([[1.0], [np.nan]]), seed=0)
+
+
+def _read_cells(cells, chunk_chars=None, monkeypatch=None):
+    """Read one channel of the given cell texts through read_trajectory."""
+    text = "t,ch1\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(cells))
+    if chunk_chars is not None:
+        monkeypatch.setattr(jsonio, "CSV_CHUNK_CHARS", chunk_chars)
+    return read_trajectory(io.StringIO(text)).samples[:, 0]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+#: Finite doubles of every kind: +-0, subnormals, integers, 1e+-300.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**64), 2**64).map(float),
+    st.floats(1e299, 1e300),
+    st.floats(-1e-299, -1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def decimal_texts(draw):
+    """Decimal cells: 1-25 digits, leading zeros, the point anywhere or
+    nowhere, an optional sign and an optional exponent."""
+    digits = draw(st.text(st.sampled_from("00123456789"), min_size=1, max_size=25))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    body = digits if point is None else digits[:point] + "." + digits[point:]
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    exponent = draw(st.sampled_from(["", "e", "E"]))
+    if exponent:
+        exponent += str(draw(st.integers(-40, 40)))
+    return sign + body + exponent
+
+
+def _midpoint_texts(x: float) -> list:
+    """The decimal midpoint between x > 0 and the next double up, and its
+    roundings down and up to 16-19 significant digits, in fixed notation."""
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+        texts = [format(mid, "f")]
+        for digits in (16, 17, 18, 19):
+            unit = Decimal(1).scaleb(mid.adjusted() - digits + 1)
+            texts += [format(mid.quantize(unit, rounding=r), "f") for r in (ROUND_FLOOR, ROUND_CEILING)]
+    return texts
+
+
+class TestTrajectoryReader:
+    """read_trajectory returns float() of every cell, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 3)), elements=FINITE))
+    def test_round_trip_is_bitwise(self, samples):
+        buf = io.StringIO()
+        write_trajectory(Trajectory(samples, seed=0), buf)
+        buf.seek(0)
+        assert np.array_equal(_bits(read_trajectory(buf).samples), _bits(samples))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(decimal_texts(), min_size=1, max_size=30))
+    def test_decimal_cells_read_as_float(self, cells):
+        assert np.array_equal(_bits(_read_cells(cells)), _bits([float(c) for c in cells]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(1e-4, 1e17, allow_subnormal=False)
+        | st.integers(2**53, 10**18).map(float)
+    )
+    def test_cells_at_and_next_to_rounding_midpoints(self, x):
+        cells = _midpoint_texts(x)
+        assert np.array_equal(_bits(_read_cells(cells)), _bits([float(c) for c in cells]))
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "9007199254740993",  # 2^53 + 1, the midpoint of 2^53 and 2^53 + 2
+            "9007199254740993.0",
+            "9007199254740995",  # midpoint, ties to the even 2^53 + 4
+            "9007199254740992.5",
+            "0.1",
+            "0.30000000000000004",
+            "-0",
+            "-0.0",
+            "5e-324",
+            "2.4703282292062328e-324",
+            "2.2250738585072011e-308",
+            "2.2250738585072014e-308",
+            "1.7976931348623157e308",
+            "999999999999999999",
+            "1000000000000000000",
+            "9223372036854775807",
+            "9223372036854775808",
+            "123456789.12345678",
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "00000000000000000000000001.5",
+            "1e22",
+            "1e23",
+            ".5",
+            "5.",
+            "-.5",
+            "+1.5",
+            "1E3",
+        ],
+    )
+    def test_edge_cells(self, cell):
+        assert _bits(_read_cells([cell]))[0] == _bits(float(cell))
+
+    @pytest.mark.parametrize("chunk_chars", [1, 7, 64])
+    def test_chunk_size_does_not_change_the_result(self, chunk_chars, monkeypatch):
+        cells = ["1.5", "-0.25", "1e-05", " 2 ", "7", "0.1", "-12.345678901234567", "3.0"]
+        expected = _read_cells(cells)
+        assert np.array_equal(_bits(_read_cells(cells, chunk_chars, monkeypatch)), _bits(expected))
+        text = "t,ch1,ch2\n\n0,1.5,2\r\n  \n1,3,-4.5\n\n\n2,5,6"
+        back = read_trajectory(io.StringIO(text)).samples
+        assert np.array_equal(back, [[1.5, 2.0], [3.0, -4.5], [5.0, 6.0]])
+
+    def test_reader_holds_the_samples_and_one_chunk(self, tmp_path):
+        samples = np.random.default_rng(5).standard_normal((200_000, 3))
+        path = tmp_path / "trajectory.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_trajectory(Trajectory(samples, seed=0), fh)
+        with open(path, encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                back = read_trajectory(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(back.samples, samples)
+        # the array grows by a quarter at a time; a chunk needs about 0.25 MB
+        assert peak < 1.25 * samples.nbytes + 2e6
+
+
+#: The reader's contract on unusual files: today's values, or ShapeMismatch
+#: (None). Every row but the two "#" ones is what np.loadtxt gave.
+MALFORMED = {
+    "blank_lines": ("t,ch1\n\n0,1.5\n\n\n1,2.5\n\n", [1.5, 2.5]),
+    "whitespace_lines": ("t,ch1\n \t\n0,1.5\n\x0c\n\u2028\n1,2.5\n", [1.5, 2.5]),
+    "crlf": ("t,ch1\r\n0,1.5\r\n\r\n1,2\r\n", [1.5, 2.0]),
+    "no_final_newline": ("t,ch1\n0,1.5\n1,2.5", [1.5, 2.5]),
+    "ragged": ("t,ch1,ch2\n0,1.0,2.0\n1,3.0\n", None),
+    "too_wide": ("t,ch1\n0,1.0,2.0\n1,3.0,4.0\n", None),
+    "trailing_comma": ("t,ch1\n0,1.0,\n", None),
+    "empty_cell": ("t,ch1\n0,\n", None),
+    "abc": ("t,ch1\n0,abc\n", None),
+    "underscore": ("t,ch1\n0,1_0\n", None),
+    "nan": ("t,ch1\n0,nan\n", None),
+    "inf": ("t,ch1\n0,inf\n", None),
+    "minus_inf": ("t,ch1\n0,-Infinity\n", None),
+    "nan_time": ("t,ch1\nnan,1.5\n", [1.5]),
+    "leading_whitespace": ("t,ch1\n  0, 1.5\n", [1.5]),
+    "trailing_whitespace": ("t,ch1\n0,1.5 \t\n", [1.5]),
+    "plus": ("t,ch1\n0,+1.5\n", [1.5]),
+    "upper_exponent": ("t,ch1\n0,1E3\n", [1000.0]),
+    "leading_point": ("t,ch1\n0,.5\n", [0.5]),
+    "trailing_point": ("t,ch1\n0,5.\n", [5.0]),
+    "lone_point": ("t,ch1\n0,.\n", None),
+    "lone_minus": ("t,ch1\n0,-\n", None),
+    "double_minus": ("t,ch1\n0,--1\n", None),
+    "two_points": ("t,ch1\n0,1.2.3\n", None),
+    "embedded_space": ("t,ch1\n0,1 2\n", None),
+    "hex": ("t,ch1\n0,0x10\n", None),
+    "quoted": ('t,ch1\n0,"1"\n', None),
+    "arabic_digit": ("t,ch1\n0,\u0661\n", None),
+    "no_break_space": ("t,ch1\n0,1\xa0\n", [1.0]),
+    "overflow": ("t,ch1\n0,1e400\n", None),
+    "underflow": ("t,ch1\n0,1e-400\n", [0.0]),
+    # np.loadtxt dropped "#" comments; the reader refuses them
+    "comment_line": ("t,ch1\n# note\n0,1\n", None),
+    "trailing_comment": ("t,ch1\n0,1.5 # note\n", None),
+}
+
+
+@pytest.mark.parametrize("text,expected", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_contract(text, expected):
+    if expected is None:
+        with pytest.raises(ShapeMismatch):
+            read_trajectory(io.StringIO(text))
+    else:
+        assert np.array_equal(_bits(read_trajectory(io.StringIO(text)).samples[:, 0]), _bits(expected))
+
+
+def test_crlf_file_and_invalid_utf8(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"t,ch1\r\n0,1.5\r\n1,-2\r\n")
+    with open(path, encoding="utf-8") as fh:
+        assert np.array_equal(read_trajectory(fh).samples, [[1.5], [-2.0]])
+    path.write_bytes(b"t,ch1\n0,1.5\xff\n")
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError):
+        read_trajectory(fh)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -189,6 +191,18 @@ class TestWhitenessDeficit:
         assert deficit == pytest.approx(expected, rel=1e-12)
         assert deficit >= np.sqrt(2.0) * abs(alpha * beta) * 0.9
         assert not is_white(f)
+
+    @pytest.mark.parametrize("power", [0, 600, 1000])
+    def test_power_of_two_scaling_is_exact(self, power):
+        # 2^1000 puts the spectrum near 1e301: finite, but its squares are not
+        f = error_spectral_matrix(counterexample_model(0.7, -1.3), PAIR12, default_grid())
+        big = FrequencyMatrix(f.grid, f.values * 2.0**power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert whiteness_deficit(big) == np.ldexp(whiteness_deficit(f), power)
+            assert not is_white(big) and not is_white(f)
+            white = error_spectral_matrix(make_var([], np.eye(3)), PAIR12, default_grid())
+            assert is_white(FrequencyMatrix(white.grid, white.values * 2.0**power))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_uncoupled_pair_stays_white(self, seed):
