@@ -18,9 +18,10 @@ question is about the measures themselves rather than estimation error.
 
 A report makes one transfer-function evaluation and one call of
 ``marginal.marginal_representations`` (one autocovariance solve, one
-batched recursion) per model, and only assembles the verdicts. It
-keeps H, and each pair's representation (or the error that replaced it) on
-the verdict, so callers reuse them instead of computing them again.
+batched recursion over the unordered pairs) per model, and only assembles
+the verdicts. It keeps H, and each pair's representation (or the error that
+replaced it) on the verdict, so callers reuse them instead of computing
+them again.
 """
 
 from __future__ import annotations
@@ -142,11 +143,11 @@ def full_report(
     """All three verdicts for every ordered pair of distinct channels.
 
     Every pair's representation comes from one ``marginal_representations``
-    call. Per-pair numerical failures (e.g. a non-converged marginalization)
-    are recorded in that pair's ``error`` field without aborting the
-    remaining pairs; a failed solve is every pair's failure. Settings other
-    than ``q_max >= 1`` and a finite ``tol > 0`` raise ShapeMismatch before
-    any pair runs.
+    call, in which (b, a) gets the exact swap of (a, b). Per-pair numerical
+    failures (e.g. a non-converged marginalization) are recorded in that
+    pair's ``error`` field without aborting the remaining pairs; a failed
+    solve is every pair's failure. Settings other than ``q_max >= 1`` and a
+    finite ``tol > 0`` raise ShapeMismatch before any pair runs.
     """
     pairs = [
         ChannelPair(source=source, target=target)

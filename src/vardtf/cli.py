@@ -143,8 +143,7 @@ def _write_reduction(args, red: reduction.ReducedRepresentation) -> tuple:
     """Write a reduction's spectra and reduction.json; returns (deficit, is_white)."""
     _write_csv(args.out, "reduced_polynomial.csv", red.reduced_poly)
     _write_csv(args.out, "error_spectrum.csv", red.error_spectrum)
-    deficit = reduction.whiteness_deficit(red.error_spectrum)
-    white = reduction.is_white(red.error_spectrum)
+    deficit, white = reduction.whiteness(red.error_spectrum)
     doc = {"pair": _pair_doc(red.pair), "whiteness_deficit": deficit, "is_white": white}
     (args.out / "reduction.json").write_text(canonical_json(doc), encoding="utf-8")
     return deficit, white

@@ -11,16 +11,18 @@ Marginal representations are generically of infinite order with
 geometrically decaying tails, so the driver grows the order until the last
 coefficient block and the innovation-trace decrement both fall below a
 tolerance. ``marginal_representations`` solves a model's autocovariances
-once, stacks the requested pairs' subprocess autocovariances and runs one
-recursion over the stack, checked for convergence at the orders 4, 8, ..:
-each pair leaves the batch at its first converging order, or at the order
-where it fails, and its block-Toeplitz condition number is taken only at
-the order returned.
+once, stacks the subprocess autocovariances of each unordered pair asked for
+and runs one recursion over the stack, checked for convergence at the orders
+4, 8, ..: each pair leaves the batch at its first converging order, or at
+the order where it fails, and its block-Toeplitz condition number is taken
+only at the order returned. The recursion works on the entries of 1x1 and
+2x2 blocks and is exact under a channel swap, so the pair (b, a) gets the
+swap of (a, b)'s result, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -94,32 +96,56 @@ class MarginalAR:
         return self.phis.shape[0]
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes of 1x1 or 2x2 blocks: c_ij = a_i0 b_0j + a_i1 b_1j."""
+    c = a[..., :, :1] * b[..., :1, :]
+    return c if a.shape[-1] == 1 else c + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _inverse(a: np.ndarray) -> tuple:
+    """(inverse, singular) of 1x1 or 2x2 blocks: the adjugate over the determinant of
+    each block scaled by the power of two of its largest entry, so that the determinant
+    neither underflows nor overflows. A determinant 0 or not finite is singular."""
+    k = np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))[1]
+    a = np.ldexp(a, -k)
+    adj = np.ones_like(a)
+    if a.shape[-1] == 2:  # [[a11, -a01], [-a10, a00]]
+        adj = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    det = _mul(a, adj)[..., :1, :1]  # a00 a11 - a01 a10
+    singular = (det == 0) | ~np.isfinite(det)
+    return np.ldexp(adj / np.where(singular, 1.0, det), -k), singular[..., 0, 0]
+
+
 def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs) -> list:
     """Run the recursion on a stack of sequences; each stops at its first converging order.
 
     ``gams`` is a (P, maxlag + 1, d, d) stack of autocovariance sequences,
-    recursed together along a leading batch axis; each step reads the running
-    sequences' Gamma from ``gams`` through their indices. At each of the
-    increasing ``orders`` each running sequence's {tail_norm, v_delta} is
-    recorded; those with both below ``tol`` leave the batch, and at
-    ``orders[-1]`` the rest. A singular prediction-error covariance (its
-    system is then solved alone, and the sequence gets a zero gain), or an
-    innovation covariance below the PSD floor, takes only its own sequence
-    out, at the end of that step. Returns, aligned with ``gams``, the
-    MarginalAR of ``pairs[k]`` where it stopped, a NotConverged carrying it
-    and the records by order, or the error.
+    d 1 or 2, recursed together along a leading batch axis; each step reads
+    the running sequences' Gamma from ``gams`` through their indices. At
+    each of the increasing ``orders`` each running sequence's {tail_norm,
+    v_delta} is recorded; those with both below ``tol`` leave the batch, and
+    at ``orders[-1]`` the rest. A singular prediction-error covariance (its
+    sequence gets a zero gain), or an innovation covariance below the PSD
+    floor, takes only its own sequence out, at the end of that step.
+    Returns, aligned with ``gams``, the MarginalAR of ``pairs[k]`` where it
+    stopped, a NotConverged carrying it and the records by order, or the
+    error.
 
     Forward and backward quantities are stacked, so each step updates both
     predictors at every lag, and both error covariances, in single array
     operations; ``delta`` subtracts the lag terms from Gamma(n+1) in lag
-    order. Every operation acts on each sequence's own matrices, so a
-    sequence gets the same bits in any batch, alone included.
+    order. Every operation acts on each sequence's own blocks, entry by
+    entry, so a sequence gets the same bits in any batch, alone included,
+    and a channel swap only commutes two-term sums and products, which IEEE
+    arithmetic does exactly: the swapped sequence gets the swapped bits.
     """
     if orders[-1] < 0:
         raise ShapeMismatch("order must be non-negative")
     if orders[-1] > gams.shape[1] - 1:
         raise ShapeMismatch(f"order {orders[-1]} exceeds available lags {gams.shape[1] - 1}")
     count, d = gams.shape[0], gams.shape[2]
+    if d > 2:
+        raise ShapeMismatch(f"the recursion takes 1 or 2 channels, got {d}")
     results: list = [None] * count
     diagnostics: list = [{} for _ in range(count)]
 
@@ -133,9 +159,11 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
     def stop(i, tail) -> None:  # the running sequence i stops at this order
         k = active[i]
         # the block-Toeplitz matrix is symmetric PSD, so its singular values
-        # are its |eigenvalues|: eigvalsh gives the SVD's condition number
-        toeplitz = block_toeplitz(AutocovSequence(gams[k]), max(pred.shape[2], 1))
-        eig = np.abs(np.linalg.eigvalsh(toeplitz))
+        # are its |eigenvalues|: eigvalsh gives the SVD's condition number;
+        # it is taken on the lexicographic first of Gamma and its swap
+        gam = gams[k, : max(pred.shape[2], 1)]
+        gam = min(gam, gam[:, ::-1, ::-1], key=lambda g: g.ravel().tolist())
+        eig = np.abs(np.linalg.eigvalsh(block_toeplitz(AutocovSequence(gam))))
         cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
         # copies, not views, so that the batch's arrays can be freed
         rep = MarginalAR(pairs[k], pred[i, 0].copy(), cov[i, 0].copy(), tail, cond)
@@ -147,34 +175,28 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
         )
 
     for n in range(orders[-1]):
-        terms = np.concatenate((gams[active, n + 1, None], pred[:, 0] @ gams[active, n:0:-1]), 1)
+        lagged = _mul(pred[:, 0], gams[active, n:0:-1])
+        terms = np.concatenate((gams[active, n + 1, None], lagged), axis=1)
         delta = np.subtract.reduce(terms, axis=1)
-        rhs = np.stack((delta.transpose(0, 2, 1), delta), axis=1)
-        lhs = cov[:, ::-1].transpose(0, 1, 3, 2)
-        leave = np.zeros(active.size, bool)  # the sequences that stop at this order
-        try:
-            # forward gain delta w^-1, backward gain delta' v^-1
-            gains = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:  # one singular system fails the whole batch
-            gains = np.zeros_like(rhs)  # a zero gain leaves a singular sequence as it was
-            for i in range(active.size):
-                try:
-                    gains[i] = np.linalg.solve(lhs[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    leave[i] = True
-                    results[active[i]] = SingularToeplitz(
-                        f"prediction-error covariance singular at order {n + 1}"
-                    )
-        gains = gains.transpose(0, 1, 3, 2)
+        rhs = np.stack((delta, delta.transpose(0, 2, 1)), axis=1)
+        inverse, singular = _inverse(cov[:, ::-1])
+        leave = singular.any(axis=1)  # the sequences that stop at this order
+        for k in active[leave]:
+            results[k] = SingularToeplitz(f"prediction-error covariance singular at order {n + 1}")
+        # forward gain delta w^-1, backward gain delta' v^-1; a zero gain
+        # leaves a singular sequence as it was
+        gains = np.where(leave[:, None, None, None], 0.0, _mul(rhs, inverse))
 
         pred = np.concatenate(
-            (pred - gains[:, :, None] @ pred[:, ::-1, ::-1], gains[:, :, None]), axis=2
+            (pred - _mul(gains[:, :, None], pred[:, ::-1, ::-1]), gains[:, :, None]), axis=2
         )
         trace_v = np.trace(cov[:, 0], axis1=1, axis2=2)
-        cov = cov - gains @ rhs
+        cov = cov - _mul(gains, rhs[:, ::-1])
         cov = 0.5 * (cov + cov.transpose(0, 1, 3, 2))
-        eig_min = np.linalg.eigvalsh(cov[:, 0])[:, 0]
-        v_delta = np.abs(trace_v - np.trace(cov[:, 0], axis1=1, axis2=2))
+        v = cov[:, 0]  # smaller eigenvalue: tr/2 - hypot((v00 - v11)/2, v01), or v00
+        spread = np.hypot((v[:, 0, 0] - v[:, 1, 1]) / 2, v[:, 0, 1]) if d == 2 else 0.0
+        eig_min = np.trace(v, axis1=1, axis2=2) / d - spread
+        v_delta = np.abs(trace_v - np.trace(v, axis1=1, axis2=2))
         broken = (eig_min < INNOV_PSD_FLOOR) & ~leave
         for k, eig in zip(active[broken], eig_min[broken]):
             results[k] = NumericalBreakdown(
@@ -183,8 +205,8 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
         leave |= broken
         if n + 1 in orders:
             for i in np.flatnonzero(~leave):
-                # the norm of one 2-D block, as a recursion of one takes it
-                tail_norm = float(np.linalg.norm(gains[i, 0], "fro"))
+                # the Frobenius norm of the last block K, as sqrt(trace(K K'))
+                tail_norm = float(np.sqrt(np.trace(_mul(gains[i, 0], gains[i, 0].T))))
                 tail = ConvergenceInfo(
                     tail_norm, float(v_delta[i]), bool(tail_norm < tol and v_delta[i] < tol)
                 )
@@ -211,8 +233,9 @@ def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -
     that ``marginal_representations`` runs over all pairs.
 
     Raises SingularToeplitz if a prediction-error covariance becomes
-    singular (a deterministic subprocess), and NumericalBreakdown if the
-    innovation covariance falls below the -1e-8 eigenvalue floor.
+    singular (its determinant is 0 or not finite: a deterministic
+    subprocess), NumericalBreakdown if the innovation covariance falls below
+    the -1e-8 eigenvalue floor, and ShapeMismatch on more than 2 channels.
     """
     (result,) = _levinson_whittle(acov.gammas[None], (q,), tol, (None,))
     if isinstance(result, NotConverged):
@@ -233,6 +256,16 @@ def _order_schedule(q_max: int) -> list:
     return qs
 
 
+def _as_pair(result, pair: ChannelPair):
+    """The result of a run of ``pair``'s channels, in either order, as ``pair``'s."""
+    if isinstance(result, NotConverged) and result.best.pair != pair:
+        return NotConverged(str(result), _as_pair(result.best, pair), result.diagnostics)
+    if isinstance(result, VardtfError) or result.pair == pair:
+        return result
+    phis, innov_cov = result.phis[:, ::-1, ::-1], result.innov_cov[::-1, ::-1]
+    return replace(result, pair=pair, phis=phis, innov_cov=innov_cov)
+
+
 def marginal_representations(
     model: VarModel,
     pairs: Sequence[ChannelPair],
@@ -242,11 +275,12 @@ def marginal_representations(
     """Each pair's MarginalAR or the VardtfError that replaced it, aligned with ``pairs``.
 
     One autocovariance solve to lag ``q_max`` serves every pair, and one
-    batched recursion runs them all; a failed solve is every pair's
-    failure, and a pair not converged by ``q_max`` gets a NotConverged
-    carrying ``best`` and per-order ``diagnostics``. Settings other than
-    ``1 <= q_max <= Q_MAX_CAP`` and a finite ``tol > 0``, and a pair out of
-    range, raise ShapeMismatch before anything is solved or allocated.
+    batched recursion runs each unordered pair once, the other order getting
+    its exact swap; a failed solve is every pair's failure, and a pair not
+    converged by ``q_max`` gets a NotConverged carrying ``best`` and
+    per-order ``diagnostics``. Settings other than ``1 <= q_max <=
+    Q_MAX_CAP`` and a finite ``tol > 0``, and a pair out of range, raise
+    ShapeMismatch before anything is solved or allocated.
     """
     if not 1 <= q_max <= Q_MAX_CAP or not (np.isfinite(tol) and tol > 0.0):
         raise ShapeMismatch(
@@ -258,10 +292,15 @@ def marginal_representations(
         acov = moments.autocov(model, maxlag=q_max)
     except VardtfError as exc:
         return [exc] * len(pairs)
-    # gams[k, h] is Gamma(h) of pairs[k]'s channels, target first
-    gams = np.array([moments.subprocess_autocov(acov, pair).gammas for pair in pairs])
+    runs: dict = {}  # one run per unordered pair, in the order first asked for
+    for pair in pairs:
+        runs.setdefault(frozenset(pair.channels), pair)
+    # gams[k, h] is Gamma(h) of the k-th run's channels, target first
+    gams = np.array([moments.subprocess_autocov(acov, pair).gammas for pair in runs.values()])
     gams = gams.reshape(-1, q_max + 1, 2, 2)  # no pairs: an empty stack
-    return _levinson_whittle(gams, _order_schedule(q_max), tol, pairs)
+    results = _levinson_whittle(gams, _order_schedule(q_max), tol, list(runs.values()))
+    by_run = dict(zip(runs, results))
+    return [_as_pair(by_run[frozenset(pair.channels)], pair) for pair in pairs]
 
 
 def marginal_representation(

@@ -156,14 +156,17 @@ def whiteness_deficit(spectrum: FrequencyMatrix) -> float:
     return float(np.max(np.ldexp(np.linalg.norm(deviation, axis=(1, 2)), exponent)))
 
 
+def whiteness(spectrum: FrequencyMatrix) -> tuple:
+    """(whiteness_deficit, is_white) of a spectrum, with the deficit computed once."""
+    deficit = whiteness_deficit(spectrum)
+    mean, exponent = _power_of_two_scaled((2.0 * np.pi * spectrum.values).mean(axis=0))
+    scale = float(np.ldexp(np.linalg.norm(mean, "fro"), exponent))
+    return deficit, scale == 0.0 or deficit / scale <= WHITE_REL_TOL
+
+
 def is_white(spectrum: FrequencyMatrix) -> bool:
     """Boolean whiteness verdict: deficit relative to the mean within WHITE_REL_TOL."""
-    scaled = 2.0 * np.pi * spectrum.values
-    mean, exponent = _power_of_two_scaled(scaled.mean(axis=0))
-    scale = float(np.ldexp(np.linalg.norm(mean, "fro"), exponent))
-    if scale == 0.0:
-        return True
-    return whiteness_deficit(spectrum) / scale <= WHITE_REL_TOL
+    return whiteness(spectrum)[1]
 
 
 def error_autocov(model: VarModel, pair: ChannelPair, maxlag: int) -> AutocovSequence:

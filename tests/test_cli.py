@@ -17,6 +17,7 @@ from vardtf import (
     marginal_representation,
     moments,
     read_model,
+    reduction,
     spectral,
     write_model,
 )
@@ -229,6 +230,16 @@ class TestOtherCommands:
         verdict = json.loads((out / "reduction.json").read_text())
         assert verdict["whiteness_deficit"] > 1.0
         assert verdict["is_white"] is False
+
+    def test_reduce_computes_the_whiteness_deficit_once(self, tmp_path, monkeypatch):
+        calls = []
+        deficit = reduction.whiteness_deficit
+        monkeypatch.setattr(
+            reduction, "whiteness_deficit", lambda spectrum: calls.append(1) or deficit(spectrum)
+        )
+        args = ("--alpha", 1, "--beta", 1, "--pair", "1,2", "--out", tmp_path / "red")
+        assert run("reduce", *args) == 0
+        assert len(calls) == 1
 
     def test_reduce_rejects_small_model(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"

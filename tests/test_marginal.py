@@ -30,6 +30,7 @@ from vardtf.exceptions import (
     SingularToeplitz,
     VardtfError,
 )
+from vardtf import marginal as marginal_module
 from vardtf.marginal import (
     MarginalAR,
     Q_MAX_CAP,
@@ -173,6 +174,11 @@ class TestWhittleRecursion:
                 assert str(result) == str(exc)
             else:
                 _assert_same_predictor(result, alone)
+
+    def test_three_channels_rejected(self):
+        seq = autocov(random_stable_model(0, dim=3, order=1, radius=0.5), maxlag=3)
+        with pytest.raises(ShapeMismatch, match="1 or 2 channels, got 3"):
+            whittle_recursion(seq, 2)
 
     def test_order_beyond_lags_rejected(self):
         seq = autocov(make_var([], np.eye(2)), maxlag=3)
@@ -386,25 +392,85 @@ def test_one_batch_holds_all_three_outcomes():
     assert outcomes == {type(None), SingularToeplitz, NotConverged}
 
 
+def _assert_swap_of(ba, ab):
+    """``ba`` is ``ab`` with its two channels swapped, bit for bit."""
+    assert type(ba) is type(ab)
+    if isinstance(ab, VardtfError):
+        assert str(ba) == str(ab)
+        if not isinstance(ab, NotConverged):
+            return
+        assert ba.diagnostics == ab.diagnostics
+        ab, ba = ab.best, ba.best
+    swap = [1, 0]
+    assert np.array_equal(ba.phis, ab.phis[:, swap][:, :, swap])
+    assert np.array_equal(ba.innov_cov, ab.innov_cov[np.ix_(swap, swap)])
+    assert ba.convergence == ab.convergence
+    assert ba.toeplitz_cond == ab.toeplitz_cond
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(2, 5),
     order=st.integers(1, 3),
     radius=st.floats(0.1, 0.8),
+    q_max=st.sampled_from([8, 128]),
     data=st.data(),
 )
-def test_swapped_pair_symmetry(seed, dim, order, radius, data):
+def test_swapped_pair_symmetry(seed, dim, order, radius, q_max, data):
     # (a, b) and (b, a) marginalize the same subprocess in swapped channel
-    # order, so every output is the other's with rows and columns swapped
+    # order, so every output is the other's with rows and columns swapped,
+    # to the bit, whether both are asked for in one call or each alone
     m = random_stable_model(seed, dim=dim, order=order, radius=radius)
     a, b = data.draw(st.permutations(range(dim)))[:2]
-    ab = marginal_representation(m, ChannelPair(target=a, source=b))
-    ba = marginal_representation(m, ChannelPair(target=b, source=a))
-    swap = [1, 0]
-    assert ab.order_used == ba.order_used
-    assert_allclose(ab.innov_cov, ba.innov_cov[np.ix_(swap, swap)], rtol=0, atol=1e-12)
-    assert_allclose(ab.phis, ba.phis[:, swap][:, :, swap], rtol=0, atol=1e-12)
+    pairs = [ChannelPair(target=a, source=b), ChannelPair(target=b, source=a)]
+    together = marginal_representations(m, pairs, q_max)
+    alone = [marginal_representations(m, [pair], q_max)[0] for pair in pairs]
+    for ab, ba in (together, alone):
+        _assert_swap_of(ba, ab)
+    _assert_swap_of(together[1], alone[0])
+
+
+def test_one_recursion_per_unordered_pair(monkeypatch):
+    # full_report asks for every ordered pair; each unordered pair is run,
+    # and its block-Toeplitz condition number taken, once
+    sequences, toeplitz = [], []
+    run, block = marginal_module._levinson_whittle, marginal_module.block_toeplitz
+    monkeypatch.setattr(
+        marginal_module,
+        "_levinson_whittle",
+        lambda gams, *a: sequences.append(len(gams)) or run(gams, *a),
+    )
+    monkeypatch.setattr(
+        marginal_module, "block_toeplitz", lambda *a: toeplitz.append(1) or block(*a)
+    )
+    m = random_stable_model(2, dim=5, order=2, radius=0.6)
+    report = full_report(m, default_grid(33))
+    assert all(v.marginal is not None for v in report.pairs)
+    assert (sequences, len(toeplitz)) == ([10], 10)
+    sequences.clear()
+    marginal_representation(m, ChannelPair(target=3, source=1))
+    assert sequences == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.integers(1, 3),
+    radius=st.floats(0.1, 0.8),
+    channels=st.sampled_from([(0,), (0, 1), (2, 0)]),
+    q=st.integers(0, 12),
+    power=st.integers(-600, 600),
+)
+def test_recursion_scales_exactly(seed, order, radius, channels, q, power):
+    # the 2x2 inverse is taken on each block scaled by a power of two, so
+    # Gamma 2^k gives the same coefficients and V 2^k, bit for bit
+    m = random_stable_model(seed, dim=3, order=order, radius=radius)
+    sub = subprocess_autocov(autocov(m, maxlag=q), channels)
+    rep = whittle_recursion(sub, q)
+    scaled = whittle_recursion(AutocovSequence(np.ldexp(sub.gammas, power)), q)
+    assert np.array_equal(scaled.phis, rep.phis)
+    assert np.array_equal(scaled.innov_cov, np.ldexp(rep.innov_cov, power))
 
 
 class TestInnovationWhiteness:

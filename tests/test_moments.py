@@ -179,6 +179,28 @@ class TestLyapunovSolvers:
         assert_allclose(np.diag(seq.gammas[0])[1:], 1.0 / (1.0 - 0.09), rtol=1e-12)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        order=st.integers(1, 3),
+        radius=st.floats(0.05, 0.95),
+        power=st.integers(-200, 200),
+    )
+    def test_autocov_scales_exactly_with_sigma(self, seed, dim, order, radius, power):
+        # the doubling's stop rule and the residual gate are relative, so
+        # Sigma 2^k gives Gamma 2^k bit for bit, however small or large
+        m = random_stable_model(seed, dim=dim, order=order, radius=radius)
+        scaled = make_var(m.coeffs, np.ldexp(m.sigma, power))
+        expected = np.ldexp(autocov(m, maxlag=8).gammas, power)
+        assert np.array_equal(autocov(scaled, maxlag=8).gammas, expected)
+
+    def test_zero_sigma_gives_zero_autocovariances(self):
+        m = random_stable_model(3, dim=3, order=2, radius=0.9)
+        seq = autocov(make_var(m.coeffs, np.zeros((3, 3))), maxlag=4)
+        assert np.array_equal(seq.gammas, np.zeros((5, 3, 3)))
+
+
 class TestSubprocess:
     def test_counterexample_pair(self):
         seq = autocov(counterexample_model(1.0, 1.0), maxlag=3)
