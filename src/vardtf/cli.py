@@ -149,20 +149,17 @@ def _write_reduction(args, red: reduction.ReducedRepresentation) -> tuple:
     return deficit, white
 
 
-def _marginal_doc(args, rep, transfer: spectral.FrequencyMatrix) -> tuple:
-    """A pair's representation as JSON; returns (residual deficit, document)."""
-    pair = rep.pair
-    deficit = marginal.innovation_whiteness_check(args.model, pair, rep, transfer)
-    doc = {
+def _marginal_doc(rep, deficit: float) -> dict:
+    """A pair's representation, with its residual whiteness deficit, as JSON."""
+    return {
         "order_used": rep.order_used,
         "phis": rep.phis.tolist(),
         "innov_cov": rep.innov_cov.tolist(),
         "convergence": dataclasses.asdict(rep.convergence),
         "toeplitz_cond": rep.toeplitz_cond,
         "whiteness_deficit": deficit,
-        "pair": _pair_doc(pair),
+        "pair": _pair_doc(rep.pair),
     }
-    return deficit, doc
 
 
 def _failure_doc(exc: VardtfError) -> dict:
@@ -180,12 +177,12 @@ def cmd_counterexample(args) -> int:
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
     _write_csv(args.out, "transfer_function.csv", report.transfer)
     deficit, _ = _write_reduction(args, reduction.reduce_pair(model, pair, report.transfer))
-    verdict = next(
-        v for v in report.pairs if (v.target, v.source) == (pair.target, pair.source)
-    )
+    verdict = next(v for v in report.pairs if (v.target, v.source) == pair.channels)
     if verdict.failure is not None:
         raise verdict.failure
-    rep_deficit, doc = _marginal_doc(args, verdict.marginal, report.transfer)
+    rep = verdict.marginal
+    rep_deficit = marginal.innovation_whiteness_check(model, pair, rep, report.transfer)
+    doc = _marginal_doc(rep, rep_deficit)
     (args.out / "marginal.json").write_text(canonical_json(doc), encoding="utf-8")
     (args.out / "report.json").write_text(_report_json(report), encoding="utf-8")
 
@@ -207,12 +204,19 @@ def cmd_analyze(args) -> int:
     dtf_vals = spectral.dtf_from_transfer(report.transfer, normalized=not args.raw)
     _write_csv(args.out, "dtf.csv", spectral.FrequencyMatrix(grid, dtf_vals.astype(complex)))
 
-    marginals: dict = {}
+    # (b, a)'s residual deficit is (a, b)'s, bit for bit: one check per unordered pair
+    marginals, deficits = {}, {}
     for v in report.pairs:
-        if v.marginal is None:
+        rep = v.marginal
+        if rep is None:
             marginals[_pair_label(v)] = _failure_doc(v.failure)
-        else:
-            marginals[_pair_label(v)] = _marginal_doc(args, v.marginal, report.transfer)[1]
+            continue
+        key = frozenset(rep.pair.channels)
+        if key not in deficits:
+            deficits[key] = marginal.innovation_whiteness_check(
+                model, rep.pair, rep, report.transfer
+            )
+        marginals[_pair_label(v)] = _marginal_doc(rep, deficits[key])
     # the grid arrays are not needed for the largest document; free them first
     del density, dtf_vals
     (args.out / "marginals.json").write_text(canonical_json(marginals), encoding="utf-8")
@@ -245,8 +249,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_marginalize(args) -> int:
     rep = marginal.marginal_representation(args.model, args.pair, q_max=args.qmax, tol=args.tol)
-    deficit, doc = _marginal_doc(args, rep, spectral.transfer_function(args.model, args.grid))
+    transfer = spectral.transfer_function(args.model, args.grid)
+    deficit = marginal.innovation_whiteness_check(args.model, args.pair, rep, transfer)
     if args.out is not None:
+        doc = _marginal_doc(rep, deficit)
         (args.out / "marginal.json").write_text(canonical_json(doc), encoding="utf-8")
     print(f"pair {args.pair.target + 1}<-{args.pair.source + 1}")
     print(f"order_used: {rep.order_used}  converged: {rep.convergence.converged}")
@@ -400,7 +406,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
-    except (VardtfError, ValueError) as exc:
+    except (VardtfError, ValueError, MemoryError) as exc:  # MemoryError: a size too large
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 2
 

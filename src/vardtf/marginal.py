@@ -246,9 +246,7 @@ def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -
 
 
 def _order_schedule(q_max: int) -> list:
-    if q_max < 4:
-        return [max(q_max, 1)]
-    qs = [4]
+    qs = [min(4, q_max)]
     while qs[-1] * 2 <= q_max:
         qs.append(qs[-1] * 2)
     if qs[-1] != q_max:
@@ -332,17 +330,17 @@ def innovation_whiteness_check(
     """Whiteness deficit of the residual spectrum implied by a representation.
 
     Filters the pair's rows H_S. of the model's transfer function by the
-    representation's coefficient polynomial
-    Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda): the residual is
-    Phi H_S. E, whose spectrum is the density of Phi H_S. on the grid of
-    ``transfer``. If the representation is the true projection, that is
-    the constant V / 2 pi and the deficit is numerically zero; a truncated
-    or otherwise invalid representation leaves frequency structure behind
-    and scores a large deficit.
+    representation's polynomial Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda),
+    entry by entry as the recursion multiplies, so that (b, a) gets (a, b)'s
+    deficit bit for bit: the residual is Phi H_S. E, whose spectrum is the
+    density of Phi H_S. on the grid of ``transfer``. If the representation is
+    the true projection, that is the constant V / 2 pi and the deficit is
+    numerically zero; a truncated or otherwise invalid representation leaves
+    frequency structure behind and scores a large deficit.
     """
     if rep.pair is not None and rep.pair != pair:
         raise ShapeMismatch("representation was computed for a different pair")
     pair.check_dim(model.dim)
     phi = lag_polynomial(rep.phis, transfer.grid).values
-    filtered = FrequencyMatrix(transfer.grid, phi @ transfer.values[:, list(pair.channels)])
+    filtered = FrequencyMatrix(transfer.grid, _mul(phi, transfer.values[:, list(pair.channels)]))
     return whiteness_deficit(density_from_transfer(filtered, model.sigma))

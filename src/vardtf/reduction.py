@@ -149,11 +149,15 @@ def whiteness_deficit(spectrum: FrequencyMatrix) -> float:
     constant, i.e. when the underlying process is white. The full complex
     matrix enters the norm, so an off-diagonal entry of constant modulus but
     drifting phase is correctly flagged as non-white. Each point's deviation
-    is normed scaled by a power of two, so a finite deficit reads finite.
+    is normed scaled by a power of two, so a finite deficit reads finite, and
+    as the sum of its diagonal squares plus the sum of its off-diagonal
+    squares, so a 2x2 spectrum and its channel swap get the same bits.
     """
     scaled = 2.0 * np.pi * spectrum.values
     deviation, exponent = _power_of_two_scaled(scaled - scaled.mean(axis=0))
-    return float(np.max(np.ldexp(np.linalg.norm(deviation, axis=(1, 2)), exponent)))
+    square, eye = deviation.real**2 + deviation.imag**2, np.eye(deviation.shape[1], dtype=bool)
+    norm = np.sqrt(square[:, eye].sum(1) + square[:, ~eye].sum(1))
+    return float(np.max(np.ldexp(norm, exponent)))
 
 
 def whiteness(spectrum: FrequencyMatrix) -> tuple:

@@ -163,10 +163,7 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     for start in range(0, values.shape[0], RESIDUAL_CHUNK):
         block = slice(start, start + RESIDUAL_CHUNK)
         try:
-            if values.shape[0] <= RESIDUAL_CHUNK:  # one block: LAPACK's result, not a copy
-                inv = np.linalg.inv(values)
-            else:
-                inv[block] = np.linalg.inv(values[block])
+            inv[block] = np.linalg.inv(values[block])
         except np.linalg.LinAlgError:  # one singular matrix fails the whole block
             for m in range(*block.indices(values.shape[0])):
                 try:

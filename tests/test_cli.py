@@ -14,6 +14,7 @@ from vardtf import (
     counterexample_model,
     exceptions,
     make_var,
+    marginal,
     marginal_representation,
     moments,
     read_model,
@@ -91,6 +92,20 @@ class TestAnalyzeCommand:
         assert (out / "dtf.csv").exists()
         marginals = json.loads((out / "marginals.json").read_text())
         assert len(marginals) == 12
+
+    def test_one_residual_check_per_unordered_pair(self, tmp_path, monkeypatch):
+        checked = []
+        check = marginal.innovation_whiteness_check
+        monkeypatch.setattr(
+            marginal,
+            "innovation_whiteness_check",
+            lambda model, pair, *a: checked.append(pair.channels) or check(model, pair, *a),
+        )
+        model_path = tmp_path / "model.json"
+        write_model(random_stable_model(5, dim=4, order=2, radius=0.5), model_path)
+        assert run("analyze", "--model", model_path, "--out", tmp_path / "out") == 0
+        assert len(checked) == 6
+        assert len({frozenset(channels) for channels in checked}) == 6
 
     def test_byte_identical_reruns(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -694,3 +709,16 @@ def test_reduce_of_a_huge_finite_spectrum_has_a_finite_deficit(tmp_path, capsys)
     assert capsys.readouterr().out == "whiteness_deficit=1.67459e+200 is_white=False\n"
     doc = json.loads((tmp_path / "reduction.json").read_text())
     assert np.isfinite(doc["whiteness_deficit"]) and doc["is_white"] is False
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [("moments", ("--maxlag", 10**16)), ("simulate", ("--length", 10**16)),
+     ("dtf", ("--grid", 10**17))],
+)
+def test_an_allocation_too_large_is_a_usage_error(command, flags, tmp_path, capsys):
+    # each array is above 2^57 bytes, more than any address space maps, so
+    # the allocation fails at once and no page is touched
+    assert run(command, "--alpha", 1, "--beta", 1, *flags, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error[usage]: ")

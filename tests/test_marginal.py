@@ -39,7 +39,8 @@ from vardtf.marginal import (
     marginal_representations,
 )
 from vardtf.moments import AutocovSequence
-from vardtf.spectral import lag_polynomial
+from vardtf.reduction import whiteness_deficit
+from vardtf.spectral import FrequencyMatrix, lag_polynomial
 
 from helpers import (
     block_diagonal_model,
@@ -429,6 +430,34 @@ def test_swapped_pair_symmetry(seed, dim, order, radius, q_max, data):
     for ab, ba in (together, alone):
         _assert_swap_of(ba, ab)
     _assert_swap_of(together[1], alone[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 5),
+    order=st.integers(1, 3),
+    radius=st.floats(0.1, 0.8),
+)
+def test_swapped_pair_whiteness_is_exact(seed, dim, order, radius):
+    # the residual filter multiplies entry by entry and the deficit sums a
+    # point's diagonal and off-diagonal squares apart, so (b, a)'s residual
+    # deficit, and the deficit of a pair's swapped spectrum, are (a, b)'s
+    # bit for bit
+    m = random_stable_model(seed, dim=dim, order=order, radius=radius)
+    grid = default_grid(65)
+    transfer, density = transfer_function(m, grid), spectral_density(m, grid).values
+    pairs = [ChannelPair(target=a, source=b) for a in range(dim) for b in range(dim) if a != b]
+    reps = dict(zip(pairs, marginal_representations(m, pairs)))
+    for pair, rep in reps.items():
+        a, b = pair.channels
+        swap = ChannelPair(target=b, source=a)
+        if isinstance(rep, VardtfError):
+            continue
+        deficit = innovation_whiteness_check(m, pair, rep, transfer)
+        assert innovation_whiteness_check(m, swap, reps[swap], transfer) == deficit
+        f_ab, f_ba = (FrequencyMatrix(grid, density[:, c][:, :, c]) for c in ([a, b], [b, a]))
+        assert whiteness_deficit(f_ba) == whiteness_deficit(f_ab)
 
 
 def test_one_recursion_per_unordered_pair(monkeypatch):
