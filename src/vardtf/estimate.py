@@ -17,6 +17,10 @@ The lag products F[h] = sum_t x(t) x(t-h)^T (``_lag_sums``) give the
 sample autocovariances and, less the products of the first and last q rows,
 the least-squares normal equations: the fit needs O(T d) memory, not the
 O(T d q) of a design matrix.
+
+``fit_var`` and ``whiteness_stats`` import scipy where they call it, not
+when this module loads: the CLI commands other than ``fit`` never load
+scipy, whose import is most of the package's start-up time.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import linalg, special
 
 from .exceptions import RankDeficientRegressors, ShapeMismatch, Unstable, UnstableFit
 from .jsonio import read_csv, write_csv
@@ -228,6 +231,7 @@ def fit_var(traj: Trajectory, order: int) -> FitResult:
             f"trajectory too short ({t_len}) for order {order} fit"
         )
     moments = _lag_moments(samples, order)
+    from scipy import linalg
     try:
         chol = linalg.cho_factor(moments[d:, d:])
     except np.linalg.LinAlgError:
@@ -280,6 +284,7 @@ def whiteness_stats(
         statistic += float(np.trace(term)) / (t_len - lag)
     statistic *= t_len * t_len
     df = d * d * (maxlag - df_model)
+    from scipy import special
     p_value = float(special.chdtrc(df, statistic))
     return WhitenessReport(
         lag_norms=np.max(np.abs(corr), axis=(1, 2)),

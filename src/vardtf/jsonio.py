@@ -23,10 +23,10 @@ same bytes. For every finite x with 1e-6 < |x| < 1e17 it computes the
   rules through a precomputed layout per (exponent, last nonzero digit),
   and the sign and separator are added per cell.
 
-Zero and -0 take the same path. Every other cell (nan, +-inf, magnitudes
-outside that range, and any whose k did not settle) is formatted with
-``FLOAT_FORMAT %`` on its own. Chunks of ``CSV_CHUNK_CELLS`` cells are
-joined by dropping the zero padding bytes of each cell's 32-byte slot.
+Zero and -0 are written as literals, not by the kernel. Every other cell
+(nan, +-inf, magnitudes outside that range, and any whose k did not settle)
+is formatted with ``FLOAT_FORMAT %`` on its own. Chunks of
+``CSV_CHUNK_CELLS`` cells are joined by dropping each slot's zero bytes.
 
 ``read_csv`` reads such tables back, and every cell it returns equals
 ``float()`` of the cell's text. Converting 17-digit cells one at a time
@@ -97,39 +97,29 @@ def _escape(s: str) -> str:
 def _emit(obj, indent: int, pieces: list[str]) -> None:
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
+    if isinstance(obj, (float, np.floating)):
+        pieces.append(_format_float(float(obj)))
+    elif obj is None:
         pieces.append("null")
     elif isinstance(obj, (bool, np.bool_)):
         pieces.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(_format_float(float(obj)))
     elif isinstance(obj, str):
         pieces.append(_escape(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        keys = sorted(obj.keys()) if keyed else range(len(obj))
+        opening, closing = "{}" if keyed else "[]"
+        if not keys:
+            pieces.append(opening + closing)
             return
-        pieces.append("{\n")
-        keys = sorted(obj.keys())
+        pieces.append(opening + "\n")
         for i, key in enumerate(keys):
-            pieces.append(inner)
-            pieces.append(_escape(str(key)))
-            pieces.append(": ")
+            pieces.append(inner + _escape(str(key)) + ": " if keyed else inner)
             _emit(obj[key], indent + 1, pieces)
             pieces.append(",\n" if i < len(keys) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(obj):
-            pieces.append(inner)
-            _emit(item, indent + 1, pieces)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
+        pieces.append(pad + closing)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -157,6 +147,10 @@ _E8, _E17 = 10**8, 10**17
 # significand digits (those after the point one byte later, with the point
 # in the gap), bytes 27-30 the exponent and byte 31 the separator.
 _CELL_BYTES = 32
+#: A slot as one array item; bytes assigned to it are padded with zeros.
+_SLOT = np.dtype((np.void, _CELL_BYTES))
+#: Slots of 0 and -0, each before "," and before "\n": 2 * signbit + eol.
+_ZERO_SLOTS = np.array([b"0,", b"0\n", b"-0,", b"-0\n"], _SLOT)
 _DIGIT0 = 7
 _EXP0 = 27
 _GROUPS = np.arange(10000)
@@ -240,6 +234,17 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
 def _format_cells(cells: np.ndarray, eol: np.ndarray) -> str:
     """``FLOAT_FORMAT % x`` of every cell, each followed by "\\n" where
     ``eol`` is set and by "," elsewhere, as one string."""
+    nonzero = np.flatnonzero(cells)
+    if len(nonzero) == len(cells):
+        text = _cell_slots(cells, eol)
+    else:
+        text = _ZERO_SLOTS[2 * np.signbit(cells) + eol]
+        text[nonzero] = _cell_slots(cells[nonzero], eol[nonzero])
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _cell_slots(cells: np.ndarray, eol: np.ndarray) -> np.ndarray:
+    """The slots of nonzero cells, one ``_SLOT`` item each."""
     a = np.abs(cells)
     exact = (a > 1e-6) & (a < 1e17)
     a = np.where(exact, a, 1.0)
@@ -282,11 +287,10 @@ def _format_cells(cells: np.ndarray, eol: np.ndarray) -> str:
     text[:, 3] = lit3 | (moved2 >> np.uint64(56))
     text[:, 3] |= np.where(eol, np.uint64(ord("\n") << 56), np.uint64(ord(",") << 56))
 
-    text = text.astype("<u8", copy=False).view(np.uint8)
-    for i in np.flatnonzero(~exact & (cells != 0)):
-        cell = (FLOAT_FORMAT % cells[i] + ("\n" if eol[i] else ",")).encode()
-        text[i] = np.frombuffer(cell.ljust(_CELL_BYTES, b"\0"), np.uint8)
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    text = text.astype("<u8", copy=False).view(_SLOT)[:, 0]
+    for i in np.flatnonzero(~exact):
+        text[i] = (FLOAT_FORMAT % cells[i] + ("\n" if eol[i] else ",")).encode()
+    return text
 
 
 def write_csv(fh, header: list, first: np.ndarray, rest: np.ndarray) -> None:

@@ -69,6 +69,17 @@ def _solve_lyapunov_doubling(comp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NoConvergence("doubling iteration for the Lyapunov equation stalled")
 
 
+def _power_of_two_scaled(m: np.ndarray) -> tuple:
+    """``m`` with each matrix over the last two axes scaled by 2^-k, and k:
+    k is the exponent of the matrix's largest real or imaginary part, or 0
+    where that is below 1/2. The scaling is exact, so a Frobenius norm of
+    the scaled matrix times 2^k has the bits of the unscaled norm wherever
+    that did not overflow, and no square overflows."""
+    largest = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), keepdims=True)
+    exponent = np.maximum(np.frexp(largest)[1], 0)
+    return m * np.ldexp(1.0, -exponent), exponent[..., 0, 0]
+
+
 def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:
     """Autocovariance sequence Gamma(0..maxlag) of a stable model.
 
@@ -98,10 +109,11 @@ def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:
     state_cov = _solve_lyapunov_doubling(comp, rhs)
     state_cov = 0.5 * (state_cov + state_cov.T)
 
-    residual = np.linalg.norm(comp @ state_cov @ comp.T + rhs - state_cov, "fro")
-    if not residual <= LYAPUNOV_RESIDUAL_TOL * np.linalg.norm(state_cov, "fro"):
+    p_k, k = _power_of_two_scaled(state_cov)
+    residual = np.linalg.norm(comp @ p_k @ comp.T + np.ldexp(rhs, -k) - p_k, "fro")
+    if not residual <= LYAPUNOV_RESIDUAL_TOL * np.linalg.norm(p_k, "fro"):
         raise NoConvergence(
-            f"Lyapunov residual {residual:.3g} exceeds tolerance"
+            f"Lyapunov residual {np.ldexp(residual, k):.3g} exceeds tolerance"
         )
 
     # Companion state is (X(t), .., X(t-p+1)): its covariance holds

@@ -28,7 +28,7 @@ import numpy as np
 from . import moments, spectral
 from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
 from .model import ChannelPair, VarModel, counterexample_model
-from .moments import AutocovSequence, subprocess_autocov
+from .moments import AutocovSequence, _power_of_two_scaled, subprocess_autocov
 from .spectral import FrequencyGrid, FrequencyMatrix, invert_pointwise
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
@@ -128,17 +128,6 @@ def reduce_pair(
             FrequencyMatrix(transfer.grid, g.values @ rows), model.sigma
         ),
     )
-
-
-def _power_of_two_scaled(m: np.ndarray) -> tuple:
-    """``m`` with each matrix over the last two axes scaled by 2^-k, and k:
-    k is the exponent of the matrix's largest real or imaginary part, or 0
-    where that is below 1/2. The scaling is exact, so a Frobenius norm of
-    the scaled matrix times 2^k has the bits of the unscaled norm wherever
-    that did not overflow, and no square overflows."""
-    largest = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), keepdims=True)
-    exponent = np.maximum(np.frexp(largest)[1], 0)
-    return m * np.ldexp(1.0, -exponent), exponent[..., 0, 0]
 
 
 def whiteness_deficit(spectrum: FrequencyMatrix) -> float:

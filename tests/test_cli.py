@@ -722,3 +722,79 @@ def test_an_allocation_too_large_is_a_usage_error(command, flags, tmp_path, caps
     assert run(command, "--alpha", 1, "--beta", 1, *flags, "--out", tmp_path / "o") == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error[usage]: ")
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [("moments", ("--out", "o")), ("granger", ()), ("analyze", ("--out", "o")),
+     ("marginalize", ("--pair", "1,2", "--out", "o"))],
+)
+def test_a_state_covariance_near_the_double_limit_passes_its_checks(command, flags, tmp_path, capsys):
+    # P's entries are about 1.3e300: its Frobenius norm and that of the
+    # innovation covariance would overflow unless scaled by a power of two
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "order": 1, "coeffs": [[[0.5, 0.0], [0.0, 0.5]]], "sigma": [[1e300, 0.0], [0.0, 1e300]]}
+    ))
+    flags = [tmp_path / f if f == "o" else f for f in flags]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--model", path, *flags) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _fresh_process(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports this vardtf."""
+    src = str(Path(vardtf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+_SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def test_cli_import_loads_no_scipy():
+    # only fit uses scipy, and it imports scipy where it calls it
+    assert _fresh_process(f"import sys, vardtf.cli; print({_SCIPY_LOADED})") == "False"
+
+
+def test_the_commands_that_never_fit_load_no_scipy(tmp_path):
+    out = str(tmp_path)
+    builtin = ["--alpha", "1", "--beta", "1"]
+    argvs = [
+        ["granger", *builtin, "--json"],
+        ["dtf", *builtin, "--out", out + "/dtf"],
+        ["moments", *builtin, "--out", out + "/mom"],
+        ["counterexample", *builtin, "--out", out + "/demo"],
+        ["analyze", *builtin, "--out", out + "/ana"],
+        ["reduce", *builtin, "--pair", "1,2", "--out", out + "/red"],
+        ["marginalize", *builtin, "--pair", "2,1", "--out", out + "/marg"],
+        ["simulate", *builtin, "--length", "500", "--out", out + "/sim"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from vardtf.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        f"print({_SCIPY_LOADED})\n"
+    )
+    assert _fresh_process(code) == "False"
+    assert (tmp_path / "sim" / "trajectory.csv").exists()
+
+
+def test_fit_loads_scipy_where_it_fits(tmp_path):
+    sim = str(tmp_path / "sim")
+    code = (
+        "import contextlib, io, sys\n"
+        "from vardtf.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['simulate', '--alpha', '1', '--beta', '1', '--length', '2000', '--out', {sim!r}])\n"
+        f"    before = {_SCIPY_LOADED}\n"
+        f"    code = main(['fit', '--data', {sim + '/trajectory.csv'!r}, '--order', '2'])\n"
+        "print(before, code, 'scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_process(code) == "False 0 True True"

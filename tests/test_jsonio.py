@@ -75,6 +75,18 @@ class TestCellFormat:
     def test_kernel_range(self, values):
         _assert_cells_match(values)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+        | st.floats(-2.2250738585072009e-308, 2.2250738585072009e-308)  # subnormals
+        | st.floats(1e30, 1e300) | st.floats(-1e300, -1e30)
+        | st.floats(1e-300, 1e-30) | st.floats(-1e-30, -1e-300)
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=60))
+    def test_chunks_with_zeros(self, values):
+        # zeros are written as literals and the kernel formats the others
+        _assert_cells_match(values)
+
 
 class TestTableShape:
     def _check(self, rows, cols, first=None):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -240,3 +242,17 @@ class TestSubprocess:
             subprocess_autocov(seq, (0, 5))
         with pytest.raises(ShapeMismatch):
             subprocess_autocov(seq, (1, 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_autocov_scales_exactly_by_a_power_of_two(seed):
+    # Sigma * 2^990 puts P's entries past 1e154, where the Frobenius norms of
+    # the residual check would overflow; the check scales them by a power of
+    # two, so the solve is the unscaled one times 2^990 and warns of nothing
+    m = random_stable_model(seed, dim=3, order=2, radius=0.8)
+    big = make_var(list(m.coeffs), np.ldexp(m.sigma, 990))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = autocov(big).gammas
+    assert np.abs(scaled).max() > 1e154
+    assert np.array_equal(scaled, np.ldexp(autocov(m).gammas, 990))
