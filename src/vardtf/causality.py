@@ -41,7 +41,7 @@ from .marginal import (
     marginal_representations,
 )
 from .model import ChannelPair, VarModel
-from .moments import _power_of_two_scaled
+from .moments import _frobenius
 from .spectral import FrequencyGrid, FrequencyMatrix, default_grid, dtf_from_transfer
 
 #: Absolute threshold on normalized DTF below which a pair's DTF is "zero";
@@ -129,10 +129,7 @@ def _gc_verdict(rep: MarginalAR) -> tuple:
     top = 0.0
     if rep.order_used > 0:
         top = float(np.max(np.abs(rep.phis[:, 0, 1])))
-    v, k = _power_of_two_scaled(rep.innov_cov)  # ||V||_F without overflow
-    threshold = GC_REL_THRESHOLD * np.sqrt(
-        max(np.ldexp(np.linalg.norm(v, "fro"), k), np.finfo(float).tiny)
-    )
+    threshold = GC_REL_THRESHOLD * np.sqrt(max(_frobenius(rep.innov_cov), np.finfo(float).tiny))
     return bool(top > threshold), top
 
 

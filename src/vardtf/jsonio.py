@@ -97,29 +97,39 @@ def _escape(s: str) -> str:
 def _emit(obj, indent: int, pieces: list[str]) -> None:
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if isinstance(obj, (float, np.floating)):
-        pieces.append(_format_float(float(obj)))
-    elif obj is None:
+    if obj is None:
         pieces.append("null")
     elif isinstance(obj, (bool, np.bool_)):
         pieces.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        pieces.append(_format_float(float(obj)))
     elif isinstance(obj, str):
         pieces.append(_escape(obj))
-    elif isinstance(obj, (dict, list, tuple)):
-        keyed = isinstance(obj, dict)
-        keys = sorted(obj.keys()) if keyed else range(len(obj))
-        opening, closing = "{}" if keyed else "[]"
-        if not keys:
-            pieces.append(opening + closing)
+    elif isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
             return
-        pieces.append(opening + "\n")
+        pieces.append("{\n")
+        keys = sorted(obj.keys())
         for i, key in enumerate(keys):
-            pieces.append(inner + _escape(str(key)) + ": " if keyed else inner)
+            pieces.append(inner)
+            pieces.append(_escape(str(key)))
+            pieces.append(": ")
             _emit(obj[key], indent + 1, pieces)
             pieces.append(",\n" if i < len(keys) - 1 else "\n")
-        pieces.append(pad + closing)
+        pieces.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for i, item in enumerate(obj):
+            pieces.append(inner)
+            _emit(item, indent + 1, pieces)
+            pieces.append(",\n" if i < len(obj) - 1 else "\n")
+        pieces.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -235,11 +245,8 @@ def _format_cells(cells: np.ndarray, eol: np.ndarray) -> str:
     """``FLOAT_FORMAT % x`` of every cell, each followed by "\\n" where
     ``eol`` is set and by "," elsewhere, as one string."""
     nonzero = np.flatnonzero(cells)
-    if len(nonzero) == len(cells):
-        text = _cell_slots(cells, eol)
-    else:
-        text = _ZERO_SLOTS[2 * np.signbit(cells) + eol]
-        text[nonzero] = _cell_slots(cells[nonzero], eol[nonzero])
+    text = _ZERO_SLOTS[2 * np.signbit(cells) + eol]
+    text[nonzero] = _cell_slots(cells[nonzero], eol[nonzero])
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -69,15 +69,21 @@ def _solve_lyapunov_doubling(comp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NoConvergence("doubling iteration for the Lyapunov equation stalled")
 
 
-def _power_of_two_scaled(m: np.ndarray) -> tuple:
-    """``m`` with each matrix over the last two axes scaled by 2^-k, and k:
-    k is the exponent of the matrix's largest real or imaginary part, or 0
-    where that is below 1/2. The scaling is exact, so a Frobenius norm of
-    the scaled matrix times 2^k has the bits of the unscaled norm wherever
-    that did not overflow, and no square overflows."""
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix over the last two axes, without overflow.
+
+    Each matrix is normed scaled by 2^-k, k the exponent of its largest real
+    or imaginary part (0 where that is below 1/2), and the norm is scaled
+    back: the scaling is exact, so no square overflows and a finite norm
+    reads finite. The squares are summed as the diagonal's plus the
+    off-diagonal's, so a matrix and its channel swap get the same bits.
+    """
     largest = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), keepdims=True)
     exponent = np.maximum(np.frexp(largest)[1], 0)
-    return m * np.ldexp(1.0, -exponent), exponent[..., 0, 0]
+    scaled = m * np.ldexp(1.0, -exponent)
+    square, eye = scaled.real**2 + scaled.imag**2, np.eye(m.shape[-1], dtype=bool)
+    norm = np.sqrt(square[..., eye].sum(-1) + square[..., ~eye].sum(-1))
+    return np.ldexp(norm, exponent[..., 0, 0])
 
 
 def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:
@@ -109,11 +115,10 @@ def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:
     state_cov = _solve_lyapunov_doubling(comp, rhs)
     state_cov = 0.5 * (state_cov + state_cov.T)
 
-    p_k, k = _power_of_two_scaled(state_cov)
-    residual = np.linalg.norm(comp @ p_k @ comp.T + np.ldexp(rhs, -k) - p_k, "fro")
-    if not residual <= LYAPUNOV_RESIDUAL_TOL * np.linalg.norm(p_k, "fro"):
+    residual = _frobenius(comp @ state_cov @ comp.T + rhs - state_cov)
+    if not residual <= LYAPUNOV_RESIDUAL_TOL * _frobenius(state_cov):
         raise NoConvergence(
-            f"Lyapunov residual {np.ldexp(residual, k):.3g} exceeds tolerance"
+            f"Lyapunov residual {residual:.3g} exceeds tolerance"
         )
 
     # Companion state is (X(t), .., X(t-p+1)): its covariance holds

@@ -28,7 +28,7 @@ import numpy as np
 from . import moments, spectral
 from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
 from .model import ChannelPair, VarModel, counterexample_model
-from .moments import AutocovSequence, _power_of_two_scaled, subprocess_autocov
+from .moments import AutocovSequence, _frobenius, subprocess_autocov
 from .spectral import FrequencyGrid, FrequencyMatrix, invert_pointwise
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
@@ -138,22 +138,17 @@ def whiteness_deficit(spectrum: FrequencyMatrix) -> float:
     constant, i.e. when the underlying process is white. The full complex
     matrix enters the norm, so an off-diagonal entry of constant modulus but
     drifting phase is correctly flagged as non-white. Each point's deviation
-    is normed scaled by a power of two, so a finite deficit reads finite, and
-    as the sum of its diagonal squares plus the sum of its off-diagonal
-    squares, so a 2x2 spectrum and its channel swap get the same bits.
+    is normed by ``moments._frobenius``, so a finite deficit reads finite and
+    a 2x2 spectrum and its channel swap get the same bits.
     """
     scaled = 2.0 * np.pi * spectrum.values
-    deviation, exponent = _power_of_two_scaled(scaled - scaled.mean(axis=0))
-    square, eye = deviation.real**2 + deviation.imag**2, np.eye(deviation.shape[1], dtype=bool)
-    norm = np.sqrt(square[:, eye].sum(1) + square[:, ~eye].sum(1))
-    return float(np.max(np.ldexp(norm, exponent)))
+    return float(np.max(_frobenius(scaled - scaled.mean(axis=0))))
 
 
 def whiteness(spectrum: FrequencyMatrix) -> tuple:
     """(whiteness_deficit, is_white) of a spectrum, with the deficit computed once."""
     deficit = whiteness_deficit(spectrum)
-    mean, exponent = _power_of_two_scaled((2.0 * np.pi * spectrum.values).mean(axis=0))
-    scale = float(np.ldexp(np.linalg.norm(mean, "fro"), exponent))
+    scale = float(_frobenius((2.0 * np.pi * spectrum.values).mean(axis=0)))
     return deficit, scale == 0.0 or deficit / scale <= WHITE_REL_TOL
 
 

@@ -148,11 +148,11 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
         residual ||inv A - I||_F reaches 1e-10; ``detail`` names the matrix.
     """
     values = fm.values
+    eye = np.eye(values.shape[1])
     inv = np.empty_like(values)
-    buffers = np.empty((2, *values[:RESIDUAL_CHUNK].shape), values.dtype)
 
     def gate(start, stop):
-        residual = _residual_norms(inv[start:stop], values[start:stop], buffers)
+        residual = np.linalg.norm(inv[start:stop] @ values[start:stop] - eye, axis=(1, 2))
         bad = np.nonzero(~(residual < INVERSION_RESIDUAL_TOL))[0]  # NaN fails too
         if bad.size:
             raise SingularAtFrequency(
@@ -173,14 +173,6 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
                 gate(m, m + 1)
         gate(start, start + RESIDUAL_CHUNK)
     return FrequencyMatrix(grid=fm.grid, values=inv)
-
-
-def _residual_norms(inv: np.ndarray, values: np.ndarray, buffers: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(inv @ values - I, axis=(1, 2)), its temporaries in ``buffers``."""
-    err, square = buffers[:, : len(values)]
-    np.subtract(np.matmul(inv, values, out=err), np.eye(values.shape[1]), out=err)
-    np.multiply(np.conjugate(err, out=square), err, out=square)
-    return np.sqrt(np.add.reduce(square.real, axis=(1, 2)))
 
 
 def spectral_density(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:

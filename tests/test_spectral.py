@@ -21,7 +21,6 @@ from vardtf.spectral import (
     RESIDUAL_CHUNK,
     FrequencyGrid,
     FrequencyMatrix,
-    _residual_norms,
     density_from_transfer,
     dtf_from_transfer,
     frequency_matrix_to_csv,
@@ -339,20 +338,3 @@ def test_first_bad_point_inside_a_block_is_named():
     with pytest.raises(SingularAtFrequency) as exc:
         invert_pointwise(FrequencyMatrix(grid, values))
     assert exc.value.frequency == grid.points[20]
-
-
-@pytest.mark.parametrize("count", [1, 37, RESIDUAL_CHUNK])
-@pytest.mark.parametrize("kind", ["random", "near_singular", "nan"])
-def test_gate_residuals_are_those_of_the_norm(kind, count):
-    # the gate's reused buffers give np.linalg.norm(inv A - I, axis=(1, 2))
-    # bit for bit, on a block shorter than the buffers too
-    rng = np.random.default_rng(count)
-    values = rng.normal(size=(count, 5, 5)) + 1j * rng.normal(size=(count, 5, 5))
-    if kind == "near_singular":
-        values[:, :, 4] = values[:, :, 0] + 1e-13 * rng.normal(size=(count, 5))
-    if kind == "nan":
-        values[::2, 1, 3] = np.nan
-    inv = np.linalg.inv(values)
-    buffers = np.empty((2, RESIDUAL_CHUNK, 5, 5), complex)
-    expected = np.linalg.norm(inv @ values - np.eye(5), axis=(1, 2))
-    np.testing.assert_array_equal(_residual_norms(inv, values, buffers), expected)
