@@ -30,7 +30,7 @@ import numpy as np
 from . import causality, estimate, marginal, moments, reduction, spectral
 from .exceptions import NotConverged, NumericalError, VardtfError
 from .jsonio import canonical_json, write_csv
-from .model import ChannelPair, VarModel, counterexample_model, read_model, write_model
+from .model import ChannelPair, VarModel, counterexample_model, read_model
 
 
 def _parse_pair(text: str) -> ChannelPair:
@@ -90,7 +90,8 @@ def _resolve(args) -> argparse.Namespace:
 
 @contextlib.contextmanager
 def _output(outdir: Path | None, name: str):
-    """The file ``name`` in ``outdir``, removed if writing fails, or else stdout."""
+    """The file ``name`` in ``outdir``, removed if writing fails, or else stdout. Every
+    file a command writes is opened here, so a failed command leaves no partial file."""
     if outdir is None:
         yield sys.stdout
         return
@@ -108,6 +109,11 @@ def _write_csv(outdir: Path | None, name: str, fm: spectral.FrequencyMatrix) -> 
         spectral.frequency_matrix_to_csv(fm, fh)
 
 
+def _write_json(outdir: Path | None, name: str, doc) -> None:
+    with _output(outdir, name) as fh:
+        fh.write(canonical_json(doc))
+
+
 def _pair_label(verdict) -> str:
     return f"{verdict.target + 1}<-{verdict.source + 1}"
 
@@ -118,8 +124,8 @@ def _pair_doc(record) -> dict:
     return {**doc, "target": record.target + 1, "source": record.source + 1}
 
 
-def _report_json(report: causality.CausalityReport) -> str:
-    return canonical_json({"dim": report.dim, "pairs": [_pair_doc(v) for v in report.pairs]})
+def _report_doc(report: causality.CausalityReport) -> dict:
+    return {"dim": report.dim, "pairs": [_pair_doc(v) for v in report.pairs]}
 
 
 def _report_table(report: causality.CausalityReport) -> str:
@@ -145,7 +151,7 @@ def _write_reduction(args, red: reduction.ReducedRepresentation) -> tuple:
     _write_csv(args.out, "error_spectrum.csv", red.error_spectrum)
     deficit, white = reduction.whiteness(red.error_spectrum)
     doc = {"pair": _pair_doc(red.pair), "whiteness_deficit": deficit, "is_white": white}
-    (args.out / "reduction.json").write_text(canonical_json(doc), encoding="utf-8")
+    _write_json(args.out, "reduction.json", doc)
     return deficit, white
 
 
@@ -182,9 +188,8 @@ def cmd_counterexample(args) -> int:
         raise verdict.failure
     rep = verdict.marginal
     rep_deficit = marginal.innovation_whiteness_check(model, pair, rep, report.transfer)
-    doc = _marginal_doc(rep, rep_deficit)
-    (args.out / "marginal.json").write_text(canonical_json(doc), encoding="utf-8")
-    (args.out / "report.json").write_text(_report_json(report), encoding="utf-8")
+    _write_json(args.out, "marginal.json", _marginal_doc(rep, rep_deficit))
+    _write_json(args.out, "report.json", _report_doc(report))
 
     print(f"alpha={args.alpha:g} beta={args.beta:g}")
     print(_report_table(report))
@@ -198,7 +203,7 @@ def cmd_analyze(args) -> int:
     """Causality report plus per-pair marginalizations and spectra."""
     model, grid = args.model, args.grid
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
-    (args.out / "report.json").write_text(_report_json(report), encoding="utf-8")
+    _write_json(args.out, "report.json", _report_doc(report))
     density = spectral.density_from_transfer(report.transfer, model.sigma)
     _write_csv(args.out, "spectral_density.csv", density)
     dtf_vals = spectral.dtf_from_transfer(report.transfer, normalized=not args.raw)
@@ -219,7 +224,7 @@ def cmd_analyze(args) -> int:
         marginals[_pair_label(v)] = _marginal_doc(rep, deficits[key])
     # the grid arrays are not needed for the largest document; free them first
     del density, dtf_vals
-    (args.out / "marginals.json").write_text(canonical_json(marginals), encoding="utf-8")
+    _write_json(args.out, "marginals.json", marginals)
 
     print(_report_table(report))
     return 0
@@ -234,15 +239,8 @@ def cmd_dtf(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    reds = [
-        reduction.reduce_pair(args.model, args.pair, spectral.transfer_function(args.model, b))
-        for b in spectral.grid_blocks(args.grid)
-    ]
-    poly, error = (
-        spectral.FrequencyMatrix(args.grid, np.concatenate([getattr(r, name).values for r in reds]))
-        for name in ("reduced_poly", "error_spectrum")
-    )
-    deficit, white = _write_reduction(args, reduction.ReducedRepresentation(args.pair, poly, error))
+    red = reduction.reduce_on_grid(args.model, args.pair, args.grid)
+    deficit, white = _write_reduction(args, red)
     print(f"whiteness_deficit={deficit:.6g} is_white={white}")
     return 0
 
@@ -252,8 +250,7 @@ def cmd_marginalize(args) -> int:
     transfer = spectral.transfer_function(args.model, args.grid)
     deficit = marginal.innovation_whiteness_check(args.model, args.pair, rep, transfer)
     if args.out is not None:
-        doc = _marginal_doc(rep, deficit)
-        (args.out / "marginal.json").write_text(canonical_json(doc), encoding="utf-8")
+        _write_json(args.out, "marginal.json", _marginal_doc(rep, deficit))
     print(f"pair {args.pair.target + 1}<-{args.pair.source + 1}")
     print(f"order_used: {rep.order_used}  converged: {rep.convergence.converged}")
     print(f"innov_cov:\n{rep.innov_cov}")
@@ -266,9 +263,9 @@ def cmd_marginalize(args) -> int:
 def cmd_granger(args) -> int:
     report = causality.full_report(args.model, args.grid, q_max=args.qmax, tol=args.tol)
     if args.out is not None:
-        (args.out / "report.json").write_text(_report_json(report), encoding="utf-8")
+        _write_json(args.out, "report.json", _report_doc(report))
     if args.json:
-        sys.stdout.write(_report_json(report))
+        _write_json(None, "report.json", _report_doc(report))
     else:
         print(_report_table(report))
     return 0
@@ -285,7 +282,7 @@ def cmd_moments(args) -> int:
 
 def cmd_simulate(args) -> int:
     traj = estimate.simulate(args.model, args.length, args.seed, burn_in=args.burn_in)
-    with open(args.out / "trajectory.csv", "w", encoding="utf-8") as fh:
+    with _output(args.out, "trajectory.csv") as fh:
         estimate.write_trajectory(traj, fh)
     print(f"wrote {traj.length} samples of {traj.dim} channels (seed {traj.seed})")
     return 0
@@ -297,18 +294,13 @@ def cmd_fit(args) -> int:
     fit = estimate.fit_var(traj, args.order)
     white = estimate.residual_whiteness(fit, maxlag=args.maxlag)
     if args.out is not None:
-        write_model(fit.model, args.out / "fitted_model.json")
-        doc = {
+        _write_json(args.out, "fitted_model.json", fit.model.to_dict())
+        _write_json(args.out, "fit_diagnostics.json", {
             "stderr": fit.stderr.tolist(),
             "nobs": fit.nobs,
-            "portmanteau": {
-                "statistic": white.statistic,
-                "df": white.df,
-                "p_value": white.p_value,
-            },
+            "portmanteau": {"statistic": white.statistic, "df": white.df, "p_value": white.p_value},
             "lag_norms": white.lag_norms.tolist(),
-        }
-        (args.out / "fit_diagnostics.json").write_text(canonical_json(doc), encoding="utf-8")
+        })
     print(f"fitted VAR({args.order}) on {fit.nobs} observations")
     print(f"portmanteau p-value (L={args.maxlag}): {white.p_value:.4g}")
     return 0

@@ -274,9 +274,12 @@ def whiteness_stats(
         raise ShapeMismatch(f"maxlag must exceed the fitted order {df_model}, got {maxlag}")
     acov = sample_autocov(residuals, maxlag)
     t_len, d = np.shape(residuals)
-    c0_inv = np.linalg.solve(acov.gammas[0], np.eye(d))
     c0 = acov.gammas[0]
-    corr = acov.gammas[1:] / np.sqrt(np.outer(np.diag(c0), np.diag(c0)))
+    c0_inv = np.linalg.solve(c0, np.eye(d))
+    # variances scaled by 2^-k, so that their products cannot overflow; the root scales back exactly
+    k = np.frexp(c0.diagonal().max())[1]
+    scaled = np.ldexp(c0.diagonal(), -k)
+    corr = acov.gammas[1:] / np.ldexp(np.sqrt(np.outer(scaled, scaled)), k)
     statistic = 0.0
     for lag in range(1, maxlag + 1):
         c = acov.gammas[lag]

@@ -63,6 +63,8 @@ so the reader holds the table and one chunk's working set (about 0.25 MB).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: printf-style format of one float: 17 significant digits.
@@ -78,14 +80,6 @@ CSV_CHUNK_CELLS = 8192
 CSV_CHUNK_CHARS = 1 << 15
 
 
-def _format_float(x: float) -> str:
-    if np.isnan(x):
-        return '"nan"'
-    if np.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return FLOAT_FORMAT % float(x)
-
-
 #: JSON string escapes: the quote, the backslash and every control character.
 _ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
 
@@ -95,8 +89,6 @@ def _escape(s: str) -> str:
 
 
 def _emit(obj, indent: int, pieces: list[str]) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if obj is None:
         pieces.append("null")
     elif isinstance(obj, (bool, np.bool_)):
@@ -104,32 +96,21 @@ def _emit(obj, indent: int, pieces: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        pieces.append(_format_float(float(obj)))
+        x = float(obj)
+        pieces.append(FLOAT_FORMAT % x if math.isfinite(x) else f'"{x}"')  # "nan", "inf", "-inf"
     elif isinstance(obj, str):
         pieces.append(_escape(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        keys = sorted(obj.keys())
-        for i, key in enumerate(keys):
-            pieces.append(inner)
-            pieces.append(_escape(str(key)))
-            pieces.append(": ")
-            _emit(obj[key], indent + 1, pieces)
-            pieces.append(",\n" if i < len(keys) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(obj):
-            pieces.append(inner)
+    elif isinstance(obj, (dict, list, tuple)):
+        # An object's items are its (key, value) pairs in key order, an array's
+        # its enumerated elements: only the brackets and the key prefix differ.
+        is_object = isinstance(obj, dict)
+        pieces.append("{" if is_object else "[")
+        inner, comma = "\n" + "  " * (indent + 1), ""
+        for key, item in sorted(obj.items()) if is_object else enumerate(obj):
+            pieces += (comma, inner, _escape(str(key)) + ": ") if is_object else (comma, inner)
             _emit(item, indent + 1, pieces)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
+            comma = ","
+        pieces.append(("\n" + "  " * indent if obj else "") + ("}" if is_object else "]"))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 

@@ -29,7 +29,7 @@ from . import moments, spectral
 from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
 from .model import ChannelPair, VarModel, counterexample_model
 from .moments import AutocovSequence, _frobenius, subprocess_autocov
-from .spectral import FrequencyGrid, FrequencyMatrix, invert_pointwise
+from .spectral import FrequencyGrid, FrequencyMatrix, grid_blocks, invert_pointwise, transfer_function
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
 WHITE_REL_TOL = 0.01
@@ -81,7 +81,7 @@ def reduced_polynomial(
     DimensionTooSmall
         If the model has no channels beyond the pair.
     """
-    return reduce_pair(model, pair, spectral.transfer_function(model, grid)).reduced_poly
+    return reduce_on_grid(model, pair, grid).reduced_poly
 
 
 def error_spectral_matrix(
@@ -95,7 +95,7 @@ def error_spectral_matrix(
     Sigma_SS / 2 pi, i.e. e' is white; otherwise it generally varies with
     frequency.
     """
-    return reduce_pair(model, pair, spectral.transfer_function(model, grid)).error_spectrum
+    return reduce_on_grid(model, pair, grid).error_spectrum
 
 
 def reduce_pair(
@@ -128,6 +128,22 @@ def reduce_pair(
             FrequencyMatrix(transfer.grid, g.values @ rows), model.sigma
         ),
     )
+
+
+def reduce_on_grid(
+    model: VarModel, pair: ChannelPair, grid: FrequencyGrid
+) -> ReducedRepresentation:
+    """``reduce_pair`` on the model's H, taken one ``grid_blocks`` block at a time.
+
+    Equal to ``reduce_pair`` on the whole grid's H, which it never holds; a
+    failure is raised at its first block in grid order.
+    """
+    reds = [reduce_pair(model, pair, transfer_function(model, b)) for b in grid_blocks(grid)]
+    poly, error = (
+        FrequencyMatrix(grid, np.concatenate([getattr(r, name).values for r in reds]))
+        for name in ("reduced_poly", "error_spectrum")
+    )
+    return ReducedRepresentation(pair, poly, error)
 
 
 def whiteness_deficit(spectrum: FrequencyMatrix) -> float:

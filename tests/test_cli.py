@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -741,6 +743,59 @@ def test_a_state_covariance_near_the_double_limit_passes_its_checks(command, fla
         warnings.simplefilter("error")
         assert run(command, "--model", path, *flags) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_fit_of_samples_near_the_double_limit_is_clean(tmp_path, capsys):
+    # samples about 1e150: the residual variances' product would overflow unless scaled
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(
+        {"dim": 2, "order": 1, "coeffs": [[[0.5, 0.0], [0.0, 0.5]]], "sigma": [[1e300, 0.0], [0.0, 1e300]]}
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("simulate", "--model", path, "--length", 500, "--out", tmp_path / "sim") == 0
+        data = tmp_path / "sim" / "trajectory.csv"
+        assert run("fit", "--data", data, "--order", 1, "--out", tmp_path / "fit") == 0
+    assert capsys.readouterr().err == ""
+    lag_norms = json.loads((tmp_path / "fit" / "fit_diagnostics.json").read_text())["lag_norms"]
+    assert all(0.0 < x < 1.0 for x in lag_norms)
+
+
+class _FullDisk(io.TextIOWrapper):
+    """A text file that takes the first half of each write, then fails as a full disk does."""
+
+    def write(self, text):
+        super().write(text[: len(text) // 2])
+        self.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _open_on_a_full_disk(file, mode="r", **kwargs):
+    return _FullDisk(open(file, "wb"), **kwargs) if "w" in mode else open(file, mode, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("simulate", "--alpha", 1, "--beta", 1, "--length", 100), "trajectory.csv"),
+        (("fit", "--data", "TRAJECTORY", "--order", 1), "fitted_model.json"),
+        (("analyze", "--alpha", 1, "--beta", 1), "report.json"),
+        (("reduce", "--alpha", 1, "--beta", 1, "--pair", "1,2"), "reduced_polynomial.csv"),
+        (("granger", "--alpha", 1, "--beta", 1), "report.json"),
+    ],
+    ids=["simulate", "fit", "analyze", "reduce", "granger"],
+)
+def test_a_failed_write_leaves_no_file(argv, name, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "sim" / "trajectory.csv"
+    assert run("simulate", "--alpha", 1, "--beta", 1, "--length", 100, "--out", data.parent) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(vardtf.cli, "open", _open_on_a_full_disk, raising=False)
+    out = tmp_path / "out"
+    assert run(*(data if a == "TRAJECTORY" else a for a in argv), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[io]: [Errno 28] ")
+    assert not (out / name).exists()
+    assert list(out.iterdir()) == []
 
 
 def _fresh_process(code: str) -> str:

@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+import warnings
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
@@ -329,6 +330,18 @@ class TestResidualWhiteness:
     def test_negative_maxlag_rejected(self, maxlag):
         with pytest.raises(ShapeMismatch, match="maxlag must be non-negative"):
             sample_autocov(np.ones((10, 2)), maxlag)
+
+    @pytest.mark.parametrize("exponent", [500, -500])
+    def test_residuals_near_the_double_limit_keep_their_statistics(self, exponent):
+        # the variances are near 2^(2 exponent), so their products leave the
+        # double range unless scaled; scaling by a power of two is exact
+        residuals = np.random.default_rng(6).normal(size=(500, 3))
+        base = whiteness_stats(residuals, 12, df_model=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = whiteness_stats(np.ldexp(residuals, exponent), 12, df_model=1)
+        assert np.array_equal(scaled.lag_norms, base.lag_norms)
+        assert (scaled.statistic, scaled.p_value) == (base.statistic, base.p_value)
 
     def test_p_value_is_the_chi_square_tail(self):
         rng = np.random.default_rng(3)

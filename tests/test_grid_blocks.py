@@ -16,7 +16,7 @@ import pytest
 from vardtf import ChannelPair, counterexample_model, spectral, write_model
 from vardtf.cli import main
 from vardtf.exceptions import SingularAtFrequency
-from vardtf.reduction import is_white, whiteness_deficit
+from vardtf.reduction import error_spectral_matrix, is_white, reduced_polynomial, whiteness_deficit
 
 from helpers import dtf_csv_reference, frequency_csv, random_stable_model, reduction_reference
 
@@ -26,6 +26,10 @@ GRID_COUNTS = [2, 3, 512, 513, 1024, 1025, 16385]
 #: Fixed before measuring: below half of one whole-grid H at d=12 on 16385
 #: points (16385 * 144 complex doubles, 37.8 MB).
 PEAK_BOUND_BYTES = 15e6
+
+#: Fixed before measuring the block-wise library reduction: ``reduced_polynomial``
+#: on the whole grid's H peaked at 78.0e6 bytes for the d=12 model below.
+LIBRARY_PEAK_BOUND_BYTES = 10e6
 
 
 def run(*argv):
@@ -147,3 +151,25 @@ def test_peak_allocation_is_below_half_of_one_whole_grid_h(command, extra, tmp_p
     finally:
         tracemalloc.stop()
     assert peak < PEAK_BOUND_BYTES
+
+
+@pytest.mark.parametrize("count", [1025, 1537])
+def test_library_reduction_equals_reduce_pair_on_the_whole_grid(case, count):
+    model, _, _, pair = case
+    grid = spectral.default_grid(count)
+    assert len(list(spectral.grid_blocks(grid))) > 1
+    ref = reduction_reference(model, pair, grid)
+    assert np.array_equal(reduced_polynomial(model, pair, grid).values, ref.reduced_poly.values)
+    assert np.array_equal(error_spectral_matrix(model, pair, grid).values, ref.error_spectrum.values)
+
+
+def test_library_reduction_peak_allocation():
+    model = random_stable_model(1, dim=12, order=4, radius=0.9)
+    grid = spectral.default_grid(16385)
+    tracemalloc.start()
+    try:
+        reduced_polynomial(model, ChannelPair(target=0, source=1), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < LIBRARY_PEAK_BOUND_BYTES

@@ -1,10 +1,13 @@
 import io
+import json
+import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vardtf.jsonio import CSV_CHUNK_CELLS, write_csv
+from vardtf.jsonio import CSV_CHUNK_CELLS, canonical_json, write_csv
 
 from helpers import write_csv_reference
 
@@ -128,3 +131,59 @@ def test_an_empty_header_continues_a_table():
     for start, stop, header in ((0, 7, ["t", "a", "b", "c"]), (7, 8, []), (8, 40, [])):
         write_csv(blocks, header, first[start:stop], rest[start:stop])
     assert blocks.getvalue() == whole.getvalue()
+
+
+#: Text with no control character, which ``json.dumps`` escapes in its own way.
+_PRINTABLE = st.text(st.characters(min_codepoint=0x20, codec="utf-8"))
+_PLAIN_SCALARS = st.none() | st.booleans() | st.integers() | _PRINTABLE
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+_NUMPY_SCALARS = (
+    _FLOATS.map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+)
+
+
+def _documents(scalars, keys):
+    """Nested dicts, lists and tuples, empty ones included, of ``scalars``."""
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(keys, inner, max_size=4),
+        max_leaves=20,
+    )
+
+
+def _exact(doc):
+    """``doc`` as ``json.loads`` of its canonical JSON should give it back:
+    tuples as lists, each number as its exact value and sign, nan and +-inf
+    as the strings "nan", "inf" and "-inf"."""
+    if isinstance(doc, dict):
+        return {key: _exact(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_exact(item) for item in doc]
+    if isinstance(doc, (bool, np.bool_)):
+        return bool(doc)
+    if isinstance(doc, (int, np.integer)):
+        return Fraction(int(doc)), doc < 0
+    if isinstance(doc, (float, np.floating)):
+        x = float(doc)
+        return (Fraction(x), math.copysign(1.0, x) < 0) if math.isfinite(x) else str(x)
+    return doc
+
+
+def _parse_int(text: str):
+    # only -0.0 prints as "-0", which json.loads alone reads as the integer 0
+    return -0.0 if text == "-0" else int(text)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents(_FLOATS | st.text() | _PLAIN_SCALARS | _NUMPY_SCALARS, st.text()))
+    def test_json_loads_gives_the_document_back(self, doc):
+        assert _exact(json.loads(canonical_json(doc), parse_int=_parse_int)) == _exact(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents(_PLAIN_SCALARS, _PRINTABLE))
+    def test_equals_the_standard_encoder_without_floats(self, doc):
+        expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert canonical_json(doc) == expected
