@@ -42,7 +42,7 @@ from .marginal import (
 )
 from .model import ChannelPair, VarModel
 from .moments import _frobenius
-from .spectral import FrequencyGrid, FrequencyMatrix, default_grid, dtf_from_transfer
+from .spectral import FrequencyGrid, FrequencyMatrix, default_grid, dtf_from_transfer, matrix_blocks
 
 #: Absolute threshold on normalized DTF below which a pair's DTF is "zero";
 #: structural zeros compute to machine epsilon, orders of magnitude lower.
@@ -156,10 +156,10 @@ def full_report(
     if grid is None:
         grid = default_grid()
     transfer = spectral.transfer_function(model, grid)
-    dtf_vals = dtf_from_transfer(transfer, normalized=True)
+    dtf_max = np.max([dtf_from_transfer(h).max(axis=0) for h in matrix_blocks(transfer)], axis=0)
     verdicts = []
     for pair, result in zip(pairs, marginals):
-        max_dtf = float(np.max(dtf_vals[:, pair.target, pair.source]))
+        max_dtf = float(dtf_max[pair.target, pair.source])
         dtf_zero = max_dtf < DTF_ZERO_TOL
         mv_flag, max_coeff = multivariate_gc(model, pair)
         failed = isinstance(result, VardtfError)

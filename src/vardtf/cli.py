@@ -104,9 +104,10 @@ def _output(outdir: Path | None, name: str):
             raise
 
 
-def _write_csv(outdir: Path | None, name: str, fm: spectral.FrequencyMatrix) -> None:
+def _write_csv(outdir: Path | None, name: str, blocks) -> None:
     with _output(outdir, name) as fh:
-        spectral.frequency_matrix_to_csv(fm, fh)
+        for i, fm in enumerate(blocks):
+            spectral.frequency_matrix_to_csv(fm, fh, header=i == 0)
 
 
 def _write_json(outdir: Path | None, name: str, doc) -> None:
@@ -147,8 +148,8 @@ def _report_table(report: causality.CausalityReport) -> str:
 
 def _write_reduction(args, red: reduction.ReducedRepresentation) -> tuple:
     """Write a reduction's spectra and reduction.json; returns (deficit, is_white)."""
-    _write_csv(args.out, "reduced_polynomial.csv", red.reduced_poly)
-    _write_csv(args.out, "error_spectrum.csv", red.error_spectrum)
+    _write_csv(args.out, "reduced_polynomial.csv", [red.reduced_poly])
+    _write_csv(args.out, "error_spectrum.csv", [red.error_spectrum])
     deficit, white = reduction.whiteness(red.error_spectrum)
     doc = {"pair": _pair_doc(red.pair), "whiteness_deficit": deficit, "is_white": white}
     _write_json(args.out, "reduction.json", doc)
@@ -181,7 +182,7 @@ def cmd_counterexample(args) -> int:
     model, grid = args.model, args.grid
     pair = ChannelPair(target=0, source=1)
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
-    _write_csv(args.out, "transfer_function.csv", report.transfer)
+    _write_csv(args.out, "transfer_function.csv", [report.transfer])
     deficit, _ = _write_reduction(args, reduction.reduce_pair(model, pair, report.transfer))
     verdict = next(v for v in report.pairs if (v.target, v.source) == pair.channels)
     if verdict.failure is not None:
@@ -204,10 +205,11 @@ def cmd_analyze(args) -> int:
     model, grid = args.model, args.grid
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
     _write_json(args.out, "report.json", _report_doc(report))
-    density = spectral.density_from_transfer(report.transfer, model.sigma)
+    h_blocks = list(spectral.matrix_blocks(report.transfer))  # views of H
+    density = (spectral.density_from_transfer(h, model.sigma) for h in h_blocks)
     _write_csv(args.out, "spectral_density.csv", density)
-    dtf_vals = spectral.dtf_from_transfer(report.transfer, normalized=not args.raw)
-    _write_csv(args.out, "dtf.csv", spectral.FrequencyMatrix(grid, dtf_vals.astype(complex)))
+    dtf = (spectral.dtf_from_transfer(h, normalized=not args.raw) for h in h_blocks)
+    _write_csv(args.out, "dtf.csv", map(spectral.FrequencyMatrix, (h.grid for h in h_blocks), dtf))
 
     # (b, a)'s residual deficit is (a, b)'s, bit for bit: one check per unordered pair
     marginals, deficits = {}, {}
@@ -222,8 +224,6 @@ def cmd_analyze(args) -> int:
                 model, rep.pair, rep, report.transfer
             )
         marginals[_pair_label(v)] = _marginal_doc(rep, deficits[key])
-    # the grid arrays are not needed for the largest document; free them first
-    del density, dtf_vals
     _write_json(args.out, "marginals.json", marginals)
 
     print(_report_table(report))
@@ -231,10 +231,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dtf(args) -> int:
-    with _output(args.out, "dtf.csv") as fh:
-        for i, block in enumerate(spectral.grid_blocks(args.grid)):
-            values = spectral.dtf(args.model, block, normalized=not args.raw)
-            spectral.frequency_matrix_to_csv(spectral.FrequencyMatrix(block, values), fh, i == 0)
+    grids = list(spectral.grid_blocks(args.grid))
+    dtf = (spectral.dtf(args.model, b, normalized=not args.raw) for b in grids)
+    _write_csv(args.out, "dtf.csv", map(spectral.FrequencyMatrix, grids, dtf))
     return 0
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import RankDeficientRegressors, ShapeMismatch, Unstable, UnstableFit
+from .exceptions import RankDeficientRegressors, ShapeMismatch, SingularToeplitz, Unstable, UnstableFit
 from .jsonio import read_csv, write_csv
 from .model import VarModel, companion_matrix
 from .moments import AutocovSequence
@@ -272,14 +272,16 @@ def whiteness_stats(
     """
     if 0 <= maxlag <= df_model:  # a negative maxlag gets sample_autocov's message
         raise ShapeMismatch(f"maxlag must exceed the fitted order {df_model}, got {maxlag}")
-    acov = sample_autocov(residuals, maxlag)
+    # by 2^-k, k the exponent of the largest |residual|: exact, and no lag product overflows
+    k = np.frexp(np.max(np.abs(residuals), initial=0.0))[1]
+    acov = sample_autocov(np.ldexp(residuals, -k), maxlag)
     t_len, d = np.shape(residuals)
     c0 = acov.gammas[0]
-    c0_inv = np.linalg.solve(c0, np.eye(d))
-    # variances scaled by 2^-k, so that their products cannot overflow; the root scales back exactly
-    k = np.frexp(c0.diagonal().max())[1]
-    scaled = np.ldexp(c0.diagonal(), -k)
-    corr = acov.gammas[1:] / np.ldexp(np.sqrt(np.outer(scaled, scaled)), k)
+    try:
+        c0_inv = np.linalg.solve(c0, np.eye(d))
+    except np.linalg.LinAlgError:
+        raise SingularToeplitz("residual covariance Gamma_hat(0) is singular") from None
+    corr = acov.gammas[1:] / np.sqrt(np.outer(c0.diagonal(), c0.diagonal()))
     statistic = 0.0
     for lag in range(1, maxlag + 1):
         c = acov.gammas[lag]

@@ -13,6 +13,7 @@ Channel indices are 0-based throughout the library; the CLI renders them
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -226,9 +227,14 @@ def companion_matrix(model: VarModel) -> np.ndarray:
 
 
 def write_model(model: VarModel, path) -> None:
-    """Write a model to a JSON document with keys dim, order, coeffs, sigma."""
+    """Write a model as JSON (keys dim, order, coeffs, sigma); a failed write leaves no file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(model.to_dict()))
+        try:
+            fh.write(canonical_json(model.to_dict()))
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def model_from_dict(doc: dict) -> VarModel:

@@ -29,8 +29,7 @@ DEFAULT_GRID_COUNT = 257
 #: is reported as singular.
 INVERSION_RESIDUAL_TOL = 1e-10
 
-#: Most grid points per block of ``grid_blocks`` and of the pointwise inversion
-#: and its residual check, so that temporaries stay small next to the matrices.
+#: Most grid points per block of ``grid_blocks``, the one place a grid is cut.
 RESIDUAL_CHUNK = 512
 
 
@@ -60,8 +59,17 @@ class FrequencyGrid:
 def grid_blocks(grid: FrequencyGrid):
     """The grid in order as ceil(n / RESIDUAL_CHUNK) sub-grids of near-equal size,
     2 to RESIDUAL_CHUNK points each; a grid of at most that is one block."""
-    parts = -(-len(grid) // RESIDUAL_CHUNK)
-    return (FrequencyGrid(points) for points in np.array_split(grid.points, parts))
+    return (FrequencyGrid(points) for points in _cut(grid.points))
+
+
+def matrix_blocks(fm: FrequencyMatrix):
+    """``fm`` on each ``grid_blocks`` block of its grid, in order, as views of its values."""
+    return map(FrequencyMatrix, grid_blocks(fm.grid), _cut(fm.values))
+
+
+def _cut(array: np.ndarray) -> list:
+    """Views of ``array`` on the ``grid_blocks`` blocks of its first axis."""
+    return np.array_split(array, -(-len(array) // RESIDUAL_CHUNK))
 
 
 def default_grid(
@@ -121,8 +129,7 @@ def char_polynomial(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
 def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     """Transfer function H(lambda) = A(lambda)^-1 on the grid.
 
-    Inversion is pivoted-LU per frequency point, with a residual check
-    ||H A - I||_F < 1e-10 at every point.
+    A(lambda) is built, inverted (pivoted LU) and gated one ``grid_blocks`` block at a time.
 
     Raises
     ------
@@ -131,15 +138,20 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
         tolerance; this signals a model numerically too close to the unit
         circle.
     """
-    return invert_pointwise(char_polynomial(model, grid))
+    blocks = list(grid_blocks(grid))
+    if len(blocks) == 1:  # its inverse is H: no copy
+        return invert_pointwise(char_polynomial(model, grid))
+    values = np.empty((len(grid), model.dim, model.dim), dtype=complex)
+    for block, out in zip(blocks, _cut(values)):
+        out[...] = invert_pointwise(char_polynomial(model, block)).values
+    return FrequencyMatrix(grid=grid, values=values)
 
 
 def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     """Inverse of a square FrequencyMatrix at every grid point.
 
-    Blocks of RESIDUAL_CHUNK points are inverted and gated in grid order
-    (a matrix of at most that many points is inverted in one call). A block
-    with a singular point is inverted and gated point by point.
+    All of ``fm`` is inverted and gated at once (cut a large grid with ``grid_blocks``);
+    with a singular point it is inverted and gated point by point, in grid order.
 
     Raises
     ------
@@ -149,7 +161,6 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     """
     values = fm.values
     eye = np.eye(values.shape[1])
-    inv = np.empty_like(values)
 
     def gate(start, stop):
         residual = np.linalg.norm(inv[start:stop] @ values[start:stop] - eye, axis=(1, 2))
@@ -160,18 +171,17 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
                 detail or f"inversion residual {residual[bad[0]]:.3g}",
             )
 
-    for start in range(0, values.shape[0], RESIDUAL_CHUNK):
-        block = slice(start, start + RESIDUAL_CHUNK)
-        try:
-            inv[block] = np.linalg.inv(values[block])
-        except np.linalg.LinAlgError:  # one singular matrix fails the whole block
-            for m in range(*block.indices(values.shape[0])):
-                try:
-                    inv[m] = np.linalg.inv(values[m])
-                except np.linalg.LinAlgError:
-                    raise SingularAtFrequency(fm.grid.points[m], detail) from None
-                gate(m, m + 1)
-        gate(start, start + RESIDUAL_CHUNK)
+    try:
+        inv = np.linalg.inv(values)
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole call
+        inv = np.empty_like(values)
+        for m in range(values.shape[0]):
+            try:
+                inv[m] = np.linalg.inv(values[m])
+            except np.linalg.LinAlgError:
+                raise SingularAtFrequency(fm.grid.points[m], detail) from None
+            gate(m, m + 1)
+    gate(0, values.shape[0])
     return FrequencyMatrix(grid=fm.grid, values=inv)
 
 

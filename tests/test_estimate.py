@@ -24,7 +24,7 @@ from vardtf import (
 )
 from vardtf import jsonio
 from vardtf.estimate import Trajectory, read_trajectory, write_trajectory
-from vardtf.exceptions import RankDeficientRegressors, ShapeMismatch, UnstableFit
+from vardtf.exceptions import RankDeficientRegressors, ShapeMismatch, SingularToeplitz, UnstableFit
 
 from helpers import (
     companion_radius,
@@ -331,7 +331,7 @@ class TestResidualWhiteness:
         with pytest.raises(ShapeMismatch, match="maxlag must be non-negative"):
             sample_autocov(np.ones((10, 2)), maxlag)
 
-    @pytest.mark.parametrize("exponent", [500, -500])
+    @pytest.mark.parametrize("exponent", [500, -500, 1000, -1000])
     def test_residuals_near_the_double_limit_keep_their_statistics(self, exponent):
         # the variances are near 2^(2 exponent), so their products leave the
         # double range unless scaled; scaling by a power of two is exact
@@ -342,6 +342,14 @@ class TestResidualWhiteness:
             scaled = whiteness_stats(np.ldexp(residuals, exponent), 12, df_model=1)
         assert np.array_equal(scaled.lag_norms, base.lag_norms)
         assert (scaled.statistic, scaled.p_value) == (base.statistic, base.p_value)
+
+    def test_zero_residual_channel_is_a_singular_covariance(self):
+        residuals = np.random.default_rng(6).normal(size=(500, 3))
+        residuals[:, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularToeplitz, match="residual covariance"):
+                whiteness_stats(residuals, 12, df_model=1)
 
     def test_p_value_is_the_chi_square_tail(self):
         rng = np.random.default_rng(3)

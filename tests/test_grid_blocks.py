@@ -1,9 +1,12 @@
-"""The ``dtf`` and ``reduce`` commands take the grid one block at a time.
+"""Every command walks the grid one ``grid_blocks`` block at a time.
 
+``dtf`` and ``reduce`` hold no whole-grid transfer function; ``analyze``,
+``granger`` and ``counterexample`` hold only H whole, built block by block.
 Their outputs equal the whole-grid computation byte for byte across block
-boundaries, a failure after some blocks leaves no partial file, overflow is
-a named numerical failure, and their allocation peak stays below half of one
-whole-grid transfer function.
+boundaries, a failure after some blocks leaves no partial file and names the
+first bad frequency, overflow is a named numerical failure, and allocation
+peaks stay bounded: ``dtf`` and ``reduce`` below half of one whole-grid H,
+``analyze`` and ``granger`` a small multiple of it.
 """
 
 import json
@@ -13,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vardtf import ChannelPair, counterexample_model, spectral, write_model
+from vardtf import ChannelPair, counterexample_model, make_var, spectral, write_model
 from vardtf.cli import main
 from vardtf.exceptions import SingularAtFrequency
 from vardtf.reduction import error_spectral_matrix, is_white, reduced_polynomial, whiteness_deficit
@@ -26,6 +29,12 @@ GRID_COUNTS = [2, 3, 512, 513, 1024, 1025, 16385]
 #: Fixed before measuring: below half of one whole-grid H at d=12 on 16385
 #: points (16385 * 144 complex doubles, 37.8 MB).
 PEAK_BOUND_BYTES = 15e6
+
+#: Fixed before measuring: tracemalloc peaks of ``analyze`` and ``granger --json``
+#: in multiples of the whole-grid H they hold, for the d=8 model below at 4097
+#: points. With whole-grid A(lambda), density and DTF arrays they read 4.1 and 2.7.
+ANALYZE_PEAK_BOUND_H = 2.5
+GRANGER_PEAK_BOUND_H = 2.0
 
 #: Fixed before measuring the block-wise library reduction: ``reduced_polynomial``
 #: on the whole grid's H peaked at 78.0e6 bytes for the d=12 model below.
@@ -173,3 +182,113 @@ def test_library_reduction_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak < LIBRARY_PEAK_BOUND_BYTES
+
+
+def _whole_grid_transfer(model, grid):
+    """H from one inversion of A(lambda) on the whole grid."""
+    return spectral.invert_pointwise(spectral.char_polynomial(model, grid))
+
+
+@pytest.mark.parametrize("count", GRID_COUNTS)
+def test_transfer_function_equals_the_whole_grid_inversion(case, count):
+    model = case[0]
+    grid = spectral.default_grid(count)
+    whole = _whole_grid_transfer(model, grid)
+    assert np.array_equal(spectral.transfer_function(model, grid).values, whole.values)
+
+
+@pytest.mark.parametrize("count", GRID_COUNTS)
+def test_analyze_dtf_equals_the_dtf_command(case, count, tmp_path):
+    model, margs, _, _ = case
+    grid = spectral.default_grid(count)
+    for flags in ((), ("--raw",)):
+        out = tmp_path / f"out{len(flags)}"
+        assert run("analyze", *margs, "--grid", count, *flags, "--out", out / "ana") == 0
+        assert run("dtf", *margs, "--grid", count, *flags, "--out", out / "dtf") == 0
+        expected = dtf_csv_reference(model, grid, normalized=not flags).encode()
+        assert (out / "ana" / "dtf.csv").read_bytes() == expected
+        assert (out / "dtf" / "dtf.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("count", GRID_COUNTS)
+def test_analyze_density_and_report_equal_the_whole_grid_ones(case, count, tmp_path):
+    model, margs, _, _ = case
+    grid = spectral.default_grid(count)
+    out = tmp_path / "out"
+    assert run("analyze", *margs, "--grid", count, "--out", out) == 0
+    density = spectral.spectral_density(model, grid)
+    assert (out / "spectral_density.csv").read_bytes() == frequency_csv(density).encode()
+    max_dtf = spectral.dtf_from_transfer(spectral.transfer_function(model, grid)).max(axis=0)
+    pairs = json.loads((out / "report.json").read_text(encoding="utf-8"))["pairs"]
+    assert len(pairs) == model.dim * (model.dim - 1)
+    for p in pairs:
+        assert p["max_dtf"] == max_dtf[p["target"] - 1, p["source"] - 1]
+
+
+@pytest.mark.parametrize("count", GRID_COUNTS)
+def test_counterexample_tables_equal_the_whole_grid_ones(count, tmp_path):
+    model, pair = counterexample_model(0.7, -1.3), ChannelPair(target=0, source=1)
+    grid = spectral.default_grid(count)
+    out = tmp_path / "out"
+    assert run("counterexample", "--alpha", 0.7, "--beta", -1.3, "--grid", count, "--out", out) == 0
+    whole = _whole_grid_transfer(model, grid)
+    assert (out / "transfer_function.csv").read_bytes() == frequency_csv(whole).encode()
+    ref = reduction_reference(model, pair, grid)
+    assert (out / "reduced_polynomial.csv").read_bytes() == frequency_csv(ref.reduced_poly).encode()
+    assert (out / "error_spectrum.csv").read_bytes() == frequency_csv(ref.error_spectrum).encode()
+
+
+def _near_unit_circle_model(thetas):
+    """Block-diagonal model of 2x2 rotations by each theta, radius 1 - 1e-9.
+
+    A(lambda) has condition about 1e9 at lambda = theta, which fails the
+    inversion gate there and nowhere else on a grid through theta.
+    """
+    dim = 2 * len(thetas)
+    a = np.zeros((dim, dim))
+    for i, theta in enumerate(thetas):
+        c, s = np.cos(theta), np.sin(theta)
+        a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = (1.0 - 1e-9) * np.array([[c, -s], [s, c]])
+    return make_var([a], np.eye(dim))
+
+
+@pytest.mark.parametrize("command", ["analyze", "granger"])
+def test_singular_point_in_a_later_block_is_named(command, tmp_path, capsys):
+    # bad points in the second and third of 1025 points' three blocks: the
+    # first in grid order is named, as by one inversion of the whole grid
+    grid = spectral.default_grid(1025)
+    first, later = 400, 900
+    model = _near_unit_circle_model([grid.points[later], grid.points[first]])
+    with pytest.raises(SingularAtFrequency) as exc:
+        _whole_grid_transfer(model, grid)
+    assert exc.value.frequency == grid.points[first]
+    path = tmp_path / "model.json"
+    write_model(model, path)
+    out = tmp_path / "out"
+    assert run(command, "--model", path, "--grid", 1025, "--out", out) == 1
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = f"singular matrix at frequency {grid.points[first]:.6g} rad/sample (inversion residual"
+    assert named in _numerical_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "command,bound",
+    [(("analyze", "--out", "OUT"), ANALYZE_PEAK_BOUND_H), (("granger", "--json"), GRANGER_PEAK_BOUND_H)],
+    ids=["analyze", "granger"],
+)
+def test_only_h_is_held_whole(command, bound, tmp_path, capsys):
+    count, dim = 4097, 8
+    h_bytes = count * dim * dim * 16
+    path = tmp_path / "model.json"
+    write_model(random_stable_model(1, dim=dim, order=4, radius=0.7), path)
+    argv = [tmp_path / "out" if a == "OUT" else a for a in command]
+    tracemalloc.start()
+    try:
+        assert run(*argv, "--model", path, "--grid", count, "--qmax", 16) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= bound * h_bytes

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from vardtf.exceptions import (
     ShapeMismatch,
     Unstable,
 )
+import vardtf.model
 from vardtf.model import model_from_dict
 
 from helpers import random_stable_model
@@ -182,6 +186,24 @@ class TestSerialization:
             for a, b in zip(m.coeffs, back.coeffs):
                 assert a.tobytes() == b.tobytes()
             assert m.sigma.tobytes() == back.sigma.tobytes()
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        class FullDisk(io.TextIOWrapper):
+            """Takes the first half of each write, then fails as a full disk does."""
+
+            def write(self, text):
+                super().write(text[: len(text) // 2])
+                self.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def open_on_a_full_disk(file, mode="r", **kwargs):
+            return FullDisk(open(file, "wb"), **kwargs) if "w" in mode else open(file, mode, **kwargs)
+
+        monkeypatch.setattr(vardtf.model, "open", open_on_a_full_disk, raising=False)
+        path = tmp_path / "model.json"
+        with pytest.raises(OSError, match="No space left"):
+            write_model(counterexample_model(1.0, 1.0), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_field_named(self):
         with pytest.raises(ShapeMismatch, match="sigma"):
