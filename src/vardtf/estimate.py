@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exceptions import RankDeficientRegressors, ShapeMismatch, SingularToeplitz, Unstable, UnstableFit
 from .jsonio import read_csv, write_csv
 from .model import VarModel, companion_matrix
-from .moments import AutocovSequence
+from .moments import AutocovSequence, _scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,9 +272,8 @@ def whiteness_stats(
     """
     if 0 <= maxlag <= df_model:  # a negative maxlag gets sample_autocov's message
         raise ShapeMismatch(f"maxlag must exceed the fitted order {df_model}, got {maxlag}")
-    # by 2^-k, k the exponent of the largest |residual|: exact, and no lag product overflows
-    k = np.frexp(np.max(np.abs(residuals), initial=0.0))[1]
-    acov = sample_autocov(np.ldexp(residuals, -k), maxlag)
+    # ``_scaled`` as one array: exact, and no lag product overflows
+    acov = sample_autocov(_scaled(residuals, axis=None)[0], maxlag)
     t_len, d = np.shape(residuals)
     c0 = acov.gammas[0]
     try:

@@ -15,9 +15,9 @@ once, stacks the subprocess autocovariances of each unordered pair asked for
 and runs one recursion over the stack, checked for convergence at the orders
 4, 8, ..: each pair leaves the batch at its first converging order, or at
 the order where it fails, and its block-Toeplitz condition number is taken
-only at the order returned. The recursion works on the entries of 1x1 and
-2x2 blocks and is exact under a channel swap, so the pair (b, a) gets the
-swap of (a, b)'s result, bit for bit.
+only at the order returned. The recursion works entry by entry on 1x1 and
+2x2 blocks (``moments._mul``, ``moments._inverse``) and is exact under a
+channel swap: the pair (b, a) gets the swap of (a, b)'s result, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .exceptions import (
     VardtfError,
 )
 from .model import ChannelPair, VarModel
-from .moments import AutocovSequence, block_toeplitz
+from .moments import AutocovSequence, _inverse, _mul, block_toeplitz
 from .reduction import whiteness_deficit
 from .spectral import FrequencyMatrix, density_from_transfer, lag_polynomial
 
@@ -94,26 +94,6 @@ class MarginalAR:
     @property
     def order_used(self) -> int:
         return self.phis.shape[0]
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the last two axes of 1x1 or 2x2 blocks: c_ij = a_i0 b_0j + a_i1 b_1j."""
-    c = a[..., :, :1] * b[..., :1, :]
-    return c if a.shape[-1] == 1 else c + a[..., :, 1:] * b[..., 1:, :]
-
-
-def _inverse(a: np.ndarray) -> tuple:
-    """(inverse, singular) of 1x1 or 2x2 blocks: the adjugate over the determinant of
-    each block scaled by the power of two of its largest entry, so that the determinant
-    neither underflows nor overflows. A determinant 0 or not finite is singular."""
-    k = np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))[1]
-    a = np.ldexp(a, -k)
-    adj = np.ones_like(a)
-    if a.shape[-1] == 2:  # [[a11, -a01], [-a10, a00]]
-        adj = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    det = _mul(a, adj)[..., :1, :1]  # a00 a11 - a01 a10
-    singular = (det == 0) | ~np.isfinite(det)
-    return np.ldexp(adj / np.where(singular, 1.0, det), -k), singular[..., 0, 0]
 
 
 def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs) -> list:

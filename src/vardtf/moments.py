@@ -69,21 +69,44 @@ def _solve_lyapunov_doubling(comp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NoConvergence("doubling iteration for the Lyapunov equation stalled")
 
 
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix over the last two axes, without overflow.
+def _scaled(a: np.ndarray, axis=(-2, -1)) -> tuple:
+    """(a * s, s), s = 2^-k over ``axis`` (kept), k the exponent of the largest real or
+    imaginary part of ``a`` but at least -1021: s is finite, and the product exact."""
+    parts = np.maximum(np.abs(a.real), np.abs(a.imag)) if np.iscomplexobj(a) else np.abs(a)
+    exponent = np.frexp(parts.max(axis=axis, keepdims=True, initial=0.0))[1]
+    del parts  # so that the product can reuse its memory: a fresh array costs page faults
+    scale = np.ldexp(1.0, -np.maximum(exponent, -1021))
+    return a * scale, scale
 
-    Each matrix is normed scaled by 2^-k, k the exponent of its largest real
-    or imaginary part (0 where that is below 1/2), and the norm is scaled
-    back: the scaling is exact, so no square overflows and a finite norm
-    reads finite. The squares are summed as the diagonal's plus the
-    off-diagonal's, so a matrix and its channel swap get the same bits.
-    """
-    largest = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), keepdims=True)
-    exponent = np.maximum(np.frexp(largest)[1], 0)
-    scaled = m * np.ldexp(1.0, -exponent)
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix over the last two axes, on the matrix ``_scaled``: no
+    square overflows and no norm below 1e-154 reads 0. The diagonal's and off-diagonal's
+    squares are summed apart, so a matrix and its channel swap get the same bits."""
+    scaled, scale = _scaled(m)
     square, eye = scaled.real**2 + scaled.imag**2, np.eye(m.shape[-1], dtype=bool)
     norm = np.sqrt(square[..., eye].sum(-1) + square[..., ~eye].sum(-1))
-    return np.ldexp(norm, exponent[..., 0, 0])
+    return norm / scale[..., 0, 0]
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, a 1x1 or 2x2: c_ij = a_i0 b_0j + a_i1 b_1j."""
+    c = a[..., :, :1] * b[..., :1, :]
+    return c if a.shape[-1] == 1 else c + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _inverse(a: np.ndarray) -> tuple:
+    """(inverse, singular) of real or complex 1x1 or 2x2 blocks: the adjugate over the
+    determinant of each block ``_scaled``, singular where it is 0 or not finite. As complex
+    products need not commute bitwise, each is taken in both orders: a swap only reorders sums."""
+    a, scale = _scaled(a)
+    adj, det = np.ones_like(a), a
+    if a.shape[-1] == 2:  # [[a11, -a01], [-a10, a00]]; det a00 a11 - a01 a10
+        adj = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        p, q, r, t = a[..., :1, :1], a[..., 1:, 1:], a[..., :1, 1:], a[..., 1:, :1]
+        det = 0.5 * ((p * q + q * p) - (r * t + t * r))
+    singular = (det == 0) | ~np.isfinite(det)
+    return adj / np.where(singular, 1.0, det) * scale, singular[..., 0, 0]
 
 
 def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:

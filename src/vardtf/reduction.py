@@ -10,7 +10,8 @@ acting on the retained channels S, driven by the error process
     E'(lambda) = E_S(lambda) - A_SR(lambda) A_RR(lambda)^-1 E_R(lambda).
 
 Both are read off the transfer function H = A^-1: G is the Schur
-complement of A_RR, so G = H_SS^-1, and E' = G X_S = G H_S. E.
+complement of A_RR, so G = H_SS^-1, and E' = G X_S = G H_S. E, both formed
+by the marginal recursion's 2x2 kernel, so (b, a) gets (a, b)'s swap.
 
 E' is generally NOT white: its spectral matrix depends on frequency, so G is
 not a valid autoregressive representation of the subprocess and causal
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments, spectral
-from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
+from .exceptions import DimensionTooSmall, ShapeMismatch, SingularAtFrequency, Unstable
 from .model import ChannelPair, VarModel, counterexample_model
-from .moments import AutocovSequence, _frobenius, subprocess_autocov
-from .spectral import FrequencyGrid, FrequencyMatrix, grid_blocks, invert_pointwise, transfer_function
+from .moments import AutocovSequence, _frobenius, _inverse, _mul, subprocess_autocov
+from .spectral import FrequencyGrid, FrequencyMatrix, grid_blocks, transfer_function
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
 WHITE_REL_TOL = 0.01
@@ -98,6 +99,7 @@ def error_spectral_matrix(
     return reduce_on_grid(model, pair, grid).error_spectrum
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reduce_pair(
     model: VarModel, pair: ChannelPair, transfer: FrequencyMatrix
 ) -> ReducedRepresentation:
@@ -111,23 +113,22 @@ def reduce_pair(
     Raises
     ------
     SingularAtFrequency
-        Where H_SS is singular, i.e. where A_RR(lambda) is.
+        At the first point where H_SS (so A_RR) is singular or ||G H_SS - I||_F >= 1e-10.
     SpectrumOverflow
         Where the error spectrum leaves the double range.
     """
     retained = _split_indices(model.dim, pair)
     rows = transfer.values[:, retained]
-    g = invert_pointwise(
-        FrequencyMatrix(transfer.grid, rows[:, :, retained]),
-        "transfer-function block H_SS; the removed block A_RR is singular",
-    )
-    return ReducedRepresentation(
-        pair=pair,
-        reduced_poly=g,
-        error_spectrum=spectral.density_from_transfer(
-            FrequencyMatrix(transfer.grid, g.values @ rows), model.sigma
-        ),
-    )
+    block = rows[:, :, retained]
+    g, singular = _inverse(block)
+    residual = _frobenius(_mul(g, block) - np.eye(2))
+    bad = np.flatnonzero(singular | ~(residual < spectral.INVERSION_RESIDUAL_TOL))  # NaN fails
+    grid = transfer.grid
+    if bad.size:
+        detail = "transfer-function block H_SS; the removed block A_RR is singular"
+        raise SingularAtFrequency(grid.points[bad[0]], detail)
+    error = spectral.density_from_transfer(FrequencyMatrix(grid, _mul(g, rows)), model.sigma)
+    return ReducedRepresentation(pair, FrequencyMatrix(grid, g), error)
 
 
 def reduce_on_grid(

@@ -20,6 +20,7 @@ import numpy as np
 from .exceptions import DegenerateRow, ShapeMismatch, SingularAtFrequency, SpectrumOverflow
 from .jsonio import write_csv
 from .model import VarModel
+from .moments import _scaled
 
 #: Number of grid points used when no grid is given: odd, so the midpoint
 #: pi/2 is on the grid, and dense enough for the whiteness metrics.
@@ -147,7 +148,7 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     return FrequencyMatrix(grid=grid, values=values)
 
 
-def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
+def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:
     """Inverse of a square FrequencyMatrix at every grid point.
 
     All of ``fm`` is inverted and gated at once (cut a large grid with ``grid_blocks``);
@@ -157,7 +158,7 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
     ------
     SingularAtFrequency
         At the first grid point where the matrix is singular or the
-        residual ||inv A - I||_F reaches 1e-10; ``detail`` names the matrix.
+        residual ||inv A - I||_F reaches 1e-10.
     """
     values = fm.values
     eye = np.eye(values.shape[1])
@@ -166,10 +167,8 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
         residual = np.linalg.norm(inv[start:stop] @ values[start:stop] - eye, axis=(1, 2))
         bad = np.nonzero(~(residual < INVERSION_RESIDUAL_TOL))[0]  # NaN fails too
         if bad.size:
-            raise SingularAtFrequency(
-                fm.grid.points[start + bad[0]],
-                detail or f"inversion residual {residual[bad[0]]:.3g}",
-            )
+            at = fm.grid.points[start + bad[0]]
+            raise SingularAtFrequency(at, f"inversion residual {residual[bad[0]]:.3g}")
 
     try:
         inv = np.linalg.inv(values)
@@ -179,7 +178,7 @@ def invert_pointwise(fm: FrequencyMatrix, detail: str = "") -> FrequencyMatrix:
             try:
                 inv[m] = np.linalg.inv(values[m])
             except np.linalg.LinAlgError:
-                raise SingularAtFrequency(fm.grid.points[m], detail) from None
+                raise SingularAtFrequency(fm.grid.points[m]) from None
             gate(m, m + 1)
     gate(0, values.shape[0])
     return FrequencyMatrix(grid=fm.grid, values=inv)
@@ -235,10 +234,8 @@ def dtf_from_transfer(h: FrequencyMatrix, normalized: bool = True) -> np.ndarray
     if not normalized:
         with np.errstate(over="ignore"):
             return _check_finite(modulus**2, h.grid, "|H|^2")
-    # Scaling a row by a power of two is exact, so the ratios are those of |H|^2;
-    # by 2^-k, k the exponent of the row's largest modulus, no square overflows.
-    exponent = np.frexp(modulus.max(axis=2, keepdims=True))[1]
-    power = np.ldexp(modulus, -exponent) ** 2
+    # Each row ``_scaled``: exact, so the ratios are those of |H|^2, and no square overflows.
+    power = _scaled(modulus, axis=2)[0] ** 2
     row_power = power.sum(axis=2, keepdims=True)
     degenerate = np.nonzero(row_power[:, :, 0] <= 0.0)
     if degenerate[0].size:

@@ -23,7 +23,7 @@ from vardtf import (
     whiteness_deficit,
 )
 from vardtf.exceptions import DimensionTooSmall, ShapeMismatch, SingularAtFrequency
-from vardtf.reduction import ReducedRepresentation
+from vardtf.reduction import ReducedRepresentation, whiteness
 from vardtf.spectral import FrequencyGrid, FrequencyMatrix
 
 from helpers import (
@@ -110,6 +110,33 @@ class TestReducePair:
         red = reduce_pair(m, PAIR12, transfer_function(m, off_zero))
         assert np.all(np.isfinite(red.reduced_poly.values))
 
+    @pytest.mark.parametrize("first,second", [(100, 1500), (1500, 100)])
+    def test_first_bad_point_in_grid_order_is_named(self, first, second):
+        # a NaN point (a residual failure) and an exactly singular H_SS, in
+        # different grid_blocks blocks of 2000 points and in either order:
+        # the first in grid order is the one reported
+        m = make_var([], np.eye(3))
+        grid = default_grid(2000)
+        values = np.broadcast_to(np.eye(3, dtype=complex), (len(grid), 3, 3)).copy()
+        values[first, :2, :2] = np.nan
+        values[second, :2, :2] = 0.0
+        with pytest.raises(SingularAtFrequency, match="A_RR") as exc:
+            reduce_pair(m, PAIR12, FrequencyMatrix(grid, values))
+        assert exc.value.frequency == grid.points[min(first, second)]
+
+    def test_block_whose_inverse_overflows_is_singular(self):
+        # H_SS = diag(1, 1e-320) has a finite determinant but an inverse out
+        # of the double range: singular, with no numpy warning on the way
+        m = make_var([], np.eye(3))
+        grid = default_grid(5)
+        values = np.broadcast_to(np.eye(3, dtype=complex), (len(grid), 3, 3)).copy()
+        values[2, 1, 1] = 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularAtFrequency, match="A_RR") as exc:
+                reduce_pair(m, PAIR12, FrequencyMatrix(grid, values))
+        assert exc.value.frequency == grid.points[2]
+
 
 class TestReducedPolynomial:
     def test_counterexample_identity(self):
@@ -192,7 +219,7 @@ class TestWhitenessDeficit:
         assert deficit >= np.sqrt(2.0) * abs(alpha * beta) * 0.9
         assert not is_white(f)
 
-    @pytest.mark.parametrize("power", [0, 600, 1000])
+    @pytest.mark.parametrize("power", [0, 600, 1000, -600, -1000])
     def test_power_of_two_scaling_is_exact(self, power):
         # 2^1000 puts the spectrum near 1e301: finite, but its squares are not
         f = error_spectral_matrix(counterexample_model(0.7, -1.3), PAIR12, default_grid())
@@ -323,6 +350,30 @@ def test_reduce_pair_matches_block_substitution(seed, dim, order, radius, lagles
     g, f = block_substitution_reference(m, pair, grid.points)
     assert np.max(np.abs(red.reduced_poly.values - g)) <= 1e-11 * np.max(np.abs(g))
     assert np.max(np.abs(red.error_spectrum.values - f)) <= 1e-11 * np.max(np.abs(f))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 8),
+    order=st.integers(1, 3),
+    radius=st.floats(0.1, 0.9),
+    data=st.data(),
+)
+def test_swapped_pair_reduction_is_exact(seed, dim, order, radius, data):
+    # G = H_SS^-1 and G H_S. come from the entry-by-entry 2x2 kernel, whose
+    # determinant takes each complex product in both orders, so (b, a)'s
+    # polynomial, error spectrum and deficit are (a, b)'s swapped, bit for bit
+    m = random_stable_model(seed, dim=dim, order=order, radius=radius)
+    a, b = data.draw(st.permutations(range(dim)))[:2]
+    transfer = transfer_function(m, default_grid(65))
+    ab, ba = (
+        reduce_pair(m, ChannelPair(target=t, source=s), transfer) for t, s in ((a, b), (b, a))
+    )
+    swap = (slice(None), slice(None, None, -1), slice(None, None, -1))
+    assert np.array_equal(ba.reduced_poly.values, ab.reduced_poly.values[swap])
+    assert np.array_equal(ba.error_spectrum.values, ab.error_spectrum.values[swap])
+    assert whiteness(ba.error_spectrum) == whiteness(ab.error_spectrum)
 
 
 class TestErrorAutocov:
