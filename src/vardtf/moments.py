@@ -86,7 +86,8 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     scaled, scale = _scaled(m)
     square, eye = scaled.real**2 + scaled.imag**2, np.eye(m.shape[-1], dtype=bool)
     norm = np.sqrt(square[..., eye].sum(-1) + square[..., ~eye].sum(-1))
-    return norm / scale[..., 0, 0]
+    with np.errstate(over="ignore"):  # a norm beyond the double range reads inf
+        return norm / scale[..., 0, 0]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments, spectral
-from .exceptions import DimensionTooSmall, ShapeMismatch, SingularAtFrequency, Unstable
+from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
 from .model import ChannelPair, VarModel, counterexample_model
-from .moments import AutocovSequence, _frobenius, _inverse, _mul, subprocess_autocov
+from .moments import AutocovSequence, _frobenius, _inverse, _mul, _scaled, subprocess_autocov
 from .spectral import FrequencyGrid, FrequencyMatrix, grid_blocks, transfer_function
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
@@ -113,20 +113,18 @@ def reduce_pair(
     Raises
     ------
     SingularAtFrequency
-        At the first point where H_SS (so A_RR) is singular or ||G H_SS - I||_F >= 1e-10.
+        At the first point where ||G H_SS - I||_F is not below 1e-10 (NaN included), so
+        H_SS, and with it A_RR, is singular: an exactly singular H_SS leaves sqrt(2).
     SpectrumOverflow
         Where the error spectrum leaves the double range.
     """
     retained = _split_indices(model.dim, pair)
     rows = transfer.values[:, retained]
     block = rows[:, :, retained]
-    g, singular = _inverse(block)
-    residual = _frobenius(_mul(g, block) - np.eye(2))
-    bad = np.flatnonzero(singular | ~(residual < spectral.INVERSION_RESIDUAL_TOL))  # NaN fails
+    g = _inverse(block)[0]
     grid = transfer.grid
-    if bad.size:
-        detail = "transfer-function block H_SS; the removed block A_RR is singular"
-        raise SingularAtFrequency(grid.points[bad[0]], detail)
+    detail = "transfer-function block H_SS; the removed block A_RR is singular"
+    spectral._refuse(_frobenius(_mul(g, block) - np.eye(2)), grid, detail)
     error = spectral.density_from_transfer(FrequencyMatrix(grid, _mul(g, rows)), model.sigma)
     return ReducedRepresentation(pair, FrequencyMatrix(grid, g), error)
 
@@ -154,19 +152,23 @@ def whiteness_deficit(spectrum: FrequencyMatrix) -> float:
     the grid average of 2 pi f(lambda). Zero exactly when the spectrum is
     constant, i.e. when the underlying process is white. The full complex
     matrix enters the norm, so an off-diagonal entry of constant modulus but
-    drifting phase is correctly flagged as non-white. Each point's deviation
-    is normed by ``moments._frobenius``, so a finite deficit reads finite and
-    a 2x2 spectrum and its channel swap get the same bits.
+    drifting phase is correctly flagged as non-white. The spectrum is ``_scaled`` by one
+    power of two, undone at the end, so the grid mean cannot overflow; each point's
+    deviation is normed by ``moments._frobenius``, so a finite deficit reads finite
+    and a 2x2 spectrum and its channel swap get the same bits.
     """
-    scaled = 2.0 * np.pi * spectrum.values
-    return float(np.max(_frobenius(scaled - scaled.mean(axis=0))))
+    scaled, scale = _scaled(spectrum.values, axis=None)
+    scaled = 2.0 * np.pi * scaled
+    return float(np.max(_frobenius(scaled - scaled.mean(axis=0)))) / scale.item()
 
 
 def whiteness(spectrum: FrequencyMatrix) -> tuple:
-    """(whiteness_deficit, is_white) of a spectrum, with the deficit computed once."""
+    """(whiteness_deficit, is_white) of a spectrum, with the deficit computed once; the
+    verdict's ratio is taken on the spectrum ``_scaled`` as in ``whiteness_deficit``."""
     deficit = whiteness_deficit(spectrum)
-    scale = float(_frobenius((2.0 * np.pi * spectrum.values).mean(axis=0)))
-    return deficit, scale == 0.0 or deficit / scale <= WHITE_REL_TOL
+    scaled, scale = _scaled(spectrum.values, axis=None)
+    mean = float(_frobenius((2.0 * np.pi * scaled).mean(axis=0)))
+    return deficit, mean == 0.0 or deficit * scale.item() / mean <= WHITE_REL_TOL
 
 
 def is_white(spectrum: FrequencyMatrix) -> bool:

@@ -130,20 +130,17 @@ def char_polynomial(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
 def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     """Transfer function H(lambda) = A(lambda)^-1 on the grid.
 
-    A(lambda) is built, inverted (pivoted LU) and gated one ``grid_blocks`` block at a time.
+    A(lambda) is built, inverted (pivoted LU) and gated into H one ``grid_blocks`` block
+    at a time.
 
     Raises
     ------
     SingularAtFrequency
-        If A(lambda) is singular or the inversion residual exceeds the
-        tolerance; this signals a model numerically too close to the unit
-        circle.
+        At the first grid point where A(lambda) is singular or the inversion
+        residual reaches the tolerance; this signals a model too close to the unit circle.
     """
-    blocks = list(grid_blocks(grid))
-    if len(blocks) == 1:  # its inverse is H: no copy
-        return invert_pointwise(char_polynomial(model, grid))
     values = np.empty((len(grid), model.dim, model.dim), dtype=complex)
-    for block, out in zip(blocks, _cut(values)):
+    for block, out in zip(grid_blocks(grid), _cut(values)):
         out[...] = invert_pointwise(char_polynomial(model, block)).values
     return FrequencyMatrix(grid=grid, values=values)
 
@@ -152,36 +149,35 @@ def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:
     """Inverse of a square FrequencyMatrix at every grid point.
 
     All of ``fm`` is inverted and gated at once (cut a large grid with ``grid_blocks``);
-    with a singular point it is inverted and gated point by point, in grid order.
+    with a singular point it is inverted point by point, leaving NaN at each singular one.
 
     Raises
     ------
     SingularAtFrequency
-        At the first grid point where the matrix is singular or the
-        residual ||inv A - I||_F reaches 1e-10.
+        At the first grid point where the residual ||inv A - I||_F is not
+        below 1e-10 (a singular point's reads nan).
     """
     values = fm.values
-    eye = np.eye(values.shape[1])
-
-    def gate(start, stop):
-        residual = np.linalg.norm(inv[start:stop] @ values[start:stop] - eye, axis=(1, 2))
-        bad = np.nonzero(~(residual < INVERSION_RESIDUAL_TOL))[0]  # NaN fails too
-        if bad.size:
-            at = fm.grid.points[start + bad[0]]
-            raise SingularAtFrequency(at, f"inversion residual {residual[bad[0]]:.3g}")
-
     try:
         inv = np.linalg.inv(values)
     except np.linalg.LinAlgError:  # one singular matrix fails the whole call
-        inv = np.empty_like(values)
+        inv = np.full_like(values, np.nan)
         for m in range(values.shape[0]):
             try:
                 inv[m] = np.linalg.inv(values[m])
             except np.linalg.LinAlgError:
-                raise SingularAtFrequency(fm.grid.points[m]) from None
-            gate(m, m + 1)
-    gate(0, values.shape[0])
+                pass
+    _refuse(np.linalg.norm(inv @ values - np.eye(values.shape[1]), axis=(1, 2)), fm.grid)
     return FrequencyMatrix(grid=fm.grid, values=inv)
+
+
+def _refuse(residual: np.ndarray, grid: FrequencyGrid, detail: str = "") -> None:
+    """SingularAtFrequency at the first grid point whose inversion residual is not below
+    INVERSION_RESIDUAL_TOL, NaN included; ``detail`` replaces the residual in its message."""
+    bad = np.flatnonzero(~(residual < INVERSION_RESIDUAL_TOL))
+    if bad.size:
+        at = bad[0]
+        raise SingularAtFrequency(grid.points[at], detail or f"inversion residual {residual[at]:.3g}")
 
 
 def spectral_density(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:

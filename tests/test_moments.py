@@ -22,7 +22,7 @@ from vardtf import (
     subprocess_autocov,
 )
 from vardtf.exceptions import NoConvergence, ShapeMismatch
-from vardtf.moments import _solve_lyapunov_doubling
+from vardtf.moments import _frobenius, _solve_lyapunov_doubling
 
 from helpers import block_toeplitz_reference, random_stable_model
 
@@ -256,3 +256,12 @@ def test_autocov_scales_exactly_by_a_power_of_two(seed):
         scaled = autocov(big).gammas
     assert np.abs(scaled).max() > 1e154
     assert np.array_equal(scaled, np.ldexp(autocov(m).gammas, 990))
+
+
+def test_a_norm_beyond_the_double_range_reads_inf():
+    # each entry is finite, but the norm, 2e308, is not: it reads inf, which
+    # every residual gate refuses, with no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = _frobenius(np.full((2, 2), 1e308))
+    assert norm == np.inf

@@ -219,7 +219,7 @@ class TestWhitenessDeficit:
         assert deficit >= np.sqrt(2.0) * abs(alpha * beta) * 0.9
         assert not is_white(f)
 
-    @pytest.mark.parametrize("power", [0, 600, 1000, -600, -1000])
+    @pytest.mark.parametrize("power", [0, 600, 1000, 1015, 1020, -600, -1000])
     def test_power_of_two_scaling_is_exact(self, power):
         # 2^1000 puts the spectrum near 1e301: finite, but its squares are not
         f = error_spectral_matrix(counterexample_model(0.7, -1.3), PAIR12, default_grid())

@@ -323,9 +323,9 @@ def test_first_bad_point_in_grid_order_is_named():
 
 
 def test_first_bad_point_inside_a_block_is_named():
-    # a NaN point (a residual failure) precedes an exactly singular one in
-    # the same block: the block falls back to point-by-point inversion, which
-    # gates each point as it goes and names the NaN point
+    # a NaN point and an exactly singular one in the same block, in either
+    # order: the block falls back to point-by-point inversion, which leaves
+    # NaN at the singular point, and the one gate names the first bad point
     grid = default_grid(100)
     values = np.broadcast_to(np.eye(2, dtype=complex), (len(grid), 2, 2)).copy()
     values[10] = np.nan
@@ -338,3 +338,9 @@ def test_first_bad_point_inside_a_block_is_named():
     with pytest.raises(SingularAtFrequency) as exc:
         invert_pointwise(FrequencyMatrix(grid, values))
     assert exc.value.frequency == grid.points[20]
+    values = values.copy()
+    values[10] = 0.0
+    values[20] = np.nan
+    with pytest.raises(SingularAtFrequency, match=r"\(inversion residual nan\)") as exc:
+        invert_pointwise(FrequencyMatrix(grid, values))
+    assert exc.value.frequency == grid.points[10]
