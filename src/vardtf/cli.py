@@ -238,15 +238,15 @@ def cmd_dtf(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    red = reduction.reduce_on_grid(args.model, args.pair, args.grid)
-    deficit, white = _write_reduction(args, red)
+    transfer = spectral.transfer_blocks(args.model, args.grid)
+    deficit, white = _write_reduction(args, reduction.reduce_pair(args.model, args.pair, transfer))
     print(f"whiteness_deficit={deficit:.6g} is_white={white}")
     return 0
 
 
 def cmd_marginalize(args) -> int:
     rep = marginal.marginal_representation(args.model, args.pair, q_max=args.qmax, tol=args.tol)
-    transfer = spectral.transfer_function(args.model, args.grid)
+    transfer = spectral.transfer_blocks(args.model, args.grid)
     deficit = marginal.innovation_whiteness_check(args.model, args.pair, rep, transfer)
     if args.out is not None:
         _write_json(args.out, "marginal.json", _marginal_doc(rep, deficit))

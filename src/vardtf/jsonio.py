@@ -213,9 +213,9 @@ def _times_pow10(a: np.ndarray, s: np.ndarray) -> tuple:
     return hi, lo
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
-    """``hi + lo == a * 10**(16 - k)`` exactly, and the step that moves k to
-    the exponent putting that product in [1e16, 1e17)."""
+def _significand(a: np.ndarray, k: np.ndarray) -> tuple:
+    """``hi + lo == a * 10**(16 - k)`` exactly, the 17-digit significand at exponent k,
+    and the step that moves k to the exponent putting that product in [1e16, 1e17)."""
     hi, lo = _times_pow10(a, 16 - k)
     up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
     down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
@@ -237,11 +237,11 @@ def _cell_slots(cells: np.ndarray, eol: np.ndarray) -> np.ndarray:
     exact = (a > 1e-6) & (a < 1e17)
     a = np.where(exact, a, 1.0)
     k = np.clip(np.floor(np.log10(a)), _MIN_EXP, _MAX_EXP).astype(np.int64)
-    hi, lo, step = _scaled(a, k)
+    hi, lo, step = _significand(a, k)
     redo = np.flatnonzero(step)
     if redo.size:
         k[redo] += step[redo]
-        hi[redo], lo[redo], step[redo] = _scaled(a[redo], k[redo])
+        hi[redo], lo[redo], step[redo] = _significand(a[redo], k[redo])
         exact[redo[step[redo] != 0]] = False
     # hi is an even integer here, so rounding lo half-to-even rounds hi + lo.
     sig = hi.astype(np.int64) + np.rint(lo).astype(np.int64)

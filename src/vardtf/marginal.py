@@ -38,7 +38,7 @@ from .exceptions import (
 from .model import ChannelPair, VarModel
 from .moments import AutocovSequence, _inverse, _mul, block_toeplitz
 from .reduction import whiteness_deficit
-from .spectral import FrequencyMatrix, density_from_transfer, lag_polynomial
+from .spectral import FrequencyMatrix, _join, density_from_transfer, lag_polynomial, matrix_blocks
 
 #: Eigenvalue floor below which an innovation covariance is declared broken.
 INNOV_PSD_FLOOR = -1e-8
@@ -302,10 +302,7 @@ def marginal_representation(
 
 
 def innovation_whiteness_check(
-    model: VarModel,
-    pair: ChannelPair,
-    rep: MarginalAR,
-    transfer: FrequencyMatrix,
+    model: VarModel, pair: ChannelPair, rep: MarginalAR, transfer
 ) -> float:
     """Whiteness deficit of the residual spectrum implied by a representation.
 
@@ -313,14 +310,19 @@ def innovation_whiteness_check(
     representation's polynomial Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda),
     entry by entry as the recursion multiplies, so that (b, a) gets (a, b)'s
     deficit bit for bit: the residual is Phi H_S. E, whose spectrum is the
-    density of Phi H_S. on the grid of ``transfer``. If the representation is
-    the true projection, that is the constant V / 2 pi and the deficit is
-    numerically zero; a truncated or otherwise invalid representation leaves
-    frequency structure behind and scores a large deficit.
+    density of Phi H_S. on the grid of ``transfer`` (H whole or as
+    ``spectral.transfer_blocks``, filtered one block at a time). If the
+    representation is the true projection, that is the constant V / 2 pi and
+    the deficit is numerically zero; a truncated or otherwise invalid
+    representation leaves frequency structure behind and scores a large deficit.
     """
     if rep.pair is not None and rep.pair != pair:
         raise ShapeMismatch("representation was computed for a different pair")
     pair.check_dim(model.dim)
-    phi = lag_polynomial(rep.phis, transfer.grid).values
-    filtered = FrequencyMatrix(transfer.grid, _mul(phi, transfer.values[:, list(pair.channels)]))
-    return whiteness_deficit(density_from_transfer(filtered, model.sigma))
+
+    def residual_density(h: FrequencyMatrix) -> FrequencyMatrix:  # on one block of H
+        phi = lag_polynomial(rep.phis, h.grid).values
+        filtered = FrequencyMatrix(h.grid, _mul(phi, h.values[:, list(pair.channels)]))
+        return density_from_transfer(filtered, model.sigma)
+
+    return whiteness_deficit(_join(list(map(residual_density, matrix_blocks(transfer)))))

@@ -30,7 +30,7 @@ from . import moments, spectral
 from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
 from .model import ChannelPair, VarModel, counterexample_model
 from .moments import AutocovSequence, _frobenius, _inverse, _mul, _scaled, subprocess_autocov
-from .spectral import FrequencyGrid, FrequencyMatrix, grid_blocks, transfer_function
+from .spectral import FrequencyGrid, FrequencyMatrix, _join, matrix_blocks, transfer_blocks
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
 WHITE_REL_TOL = 0.01
@@ -82,7 +82,7 @@ def reduced_polynomial(
     DimensionTooSmall
         If the model has no channels beyond the pair.
     """
-    return reduce_on_grid(model, pair, grid).reduced_poly
+    return reduce_pair(model, pair, transfer_blocks(model, grid)).reduced_poly
 
 
 def error_spectral_matrix(
@@ -96,19 +96,16 @@ def error_spectral_matrix(
     Sigma_SS / 2 pi, i.e. e' is white; otherwise it generally varies with
     frequency.
     """
-    return reduce_on_grid(model, pair, grid).error_spectrum
+    return reduce_pair(model, pair, transfer_blocks(model, grid)).error_spectrum
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def reduce_pair(
-    model: VarModel, pair: ChannelPair, transfer: FrequencyMatrix
-) -> ReducedRepresentation:
+def reduce_pair(model: VarModel, pair: ChannelPair, transfer) -> ReducedRepresentation:
     """Reduced polynomial and error spectrum for a pair, from the model's H.
 
-    ``transfer`` is the model's transfer function H(lambda) on the grid of
-    the result. The retained rows satisfy X_S = H_S. E, and the Schur
-    complement G is the inverse of the 2x2 block H_SS, so the error is
-    E' = G X_S = G H_S. E, whose spectrum is the density of G H_S. .
+    ``transfer`` is the model's H(lambda) on the grid of the result, whole or as
+    ``spectral.transfer_blocks``, read one block at a time. The retained rows satisfy
+    X_S = H_S. E, and the Schur complement G is the inverse of the 2x2 block H_SS,
+    so the error is E' = G X_S = G H_S. E, whose spectrum is the density of G H_S. .
 
     Raises
     ------
@@ -119,30 +116,19 @@ def reduce_pair(
         Where the error spectrum leaves the double range.
     """
     retained = _split_indices(model.dim, pair)
-    rows = transfer.values[:, retained]
-    block = rows[:, :, retained]
-    g = _inverse(block)[0]
-    grid = transfer.grid
     detail = "transfer-function block H_SS; the removed block A_RR is singular"
-    spectral._refuse(_frobenius(_mul(g, block) - np.eye(2)), grid, detail)
-    error = spectral.density_from_transfer(FrequencyMatrix(grid, _mul(g, rows)), model.sigma)
-    return ReducedRepresentation(pair, FrequencyMatrix(grid, g), error)
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def reduce_block(h: FrequencyMatrix) -> tuple:  # (G, error spectrum) on one block of H
+        rows = h.values[:, retained]
+        block = rows[:, :, retained]
+        g = _inverse(block)[0]
+        spectral._refuse(_frobenius(_mul(g, block) - np.eye(2)), h.grid, detail)
+        error = spectral.density_from_transfer(FrequencyMatrix(h.grid, _mul(g, rows)), model.sigma)
+        return FrequencyMatrix(h.grid, g), error
 
-def reduce_on_grid(
-    model: VarModel, pair: ChannelPair, grid: FrequencyGrid
-) -> ReducedRepresentation:
-    """``reduce_pair`` on the model's H, taken one ``grid_blocks`` block at a time.
-
-    Equal to ``reduce_pair`` on the whole grid's H, which it never holds; a
-    failure is raised at its first block in grid order.
-    """
-    reds = [reduce_pair(model, pair, transfer_function(model, b)) for b in grid_blocks(grid)]
-    poly, error = (
-        FrequencyMatrix(grid, np.concatenate([getattr(r, name).values for r in reds]))
-        for name in ("reduced_poly", "error_spectrum")
-    )
-    return ReducedRepresentation(pair, poly, error)
+    poly, error = zip(*map(reduce_block, matrix_blocks(transfer)))
+    return ReducedRepresentation(pair, _join(poly), _join(error))
 
 
 def whiteness_deficit(spectrum: FrequencyMatrix) -> float:

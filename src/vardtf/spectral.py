@@ -63,9 +63,18 @@ def grid_blocks(grid: FrequencyGrid):
     return (FrequencyGrid(points) for points in _cut(grid.points))
 
 
-def matrix_blocks(fm: FrequencyMatrix):
-    """``fm`` on each ``grid_blocks`` block of its grid, in order, as views of its values."""
+def matrix_blocks(fm):
+    """``fm`` on each ``grid_blocks`` block of its grid, in order, as views of its values;
+    blocks already cut (``transfer_blocks``) pass straight through."""
+    if not isinstance(fm, FrequencyMatrix):
+        return fm
     return map(FrequencyMatrix, grid_blocks(fm.grid), _cut(fm.values))
+
+
+def _join(blocks) -> FrequencyMatrix:
+    """A list of consecutive blocks of one grid as one FrequencyMatrix on their joined grid."""
+    grid = FrequencyGrid(np.concatenate([b.grid.points for b in blocks]))
+    return FrequencyMatrix(grid, np.concatenate([b.values for b in blocks]))
 
 
 def _cut(array: np.ndarray) -> list:
@@ -143,6 +152,12 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     for block, out in zip(grid_blocks(grid), _cut(values)):
         out[...] = invert_pointwise(char_polynomial(model, block)).values
     return FrequencyMatrix(grid=grid, values=values)
+
+
+def transfer_blocks(model: VarModel, grid: FrequencyGrid):
+    """``transfer_function`` on each ``grid_blocks`` block of ``grid``, one at a time, in
+    order; an iterator, so each walk over the blocks needs its own."""
+    return (transfer_function(model, block) for block in grid_blocks(grid))
 
 
 def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:

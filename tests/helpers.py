@@ -7,9 +7,10 @@ the inverse of a block of H(lambda), the spectral oracle is a smoothed
 periodogram of simulated data, the CSV reference formats one row at
 a time with Python's ``%``, and the least-squares VAR fit solves through
 the SVD of an explicit design matrix instead of lag products. The
-whole-grid references for the streamed ``dtf`` and ``reduce`` commands
-evaluate H on the whole grid at once, as those commands did before they
-worked in blocks.
+whole-grid references for the commands that walk the grid in blocks
+(``dtf``, ``reduce``, ``marginalize``) evaluate H, the reduction and the
+marginal residual's density on the whole grid at once, as those commands
+did before they worked in blocks.
 """
 
 import io
@@ -18,8 +19,16 @@ import numpy as np
 from scipy.linalg import solve_discrete_are
 
 from vardtf import ChannelPair, companion_matrix, make_var
-from vardtf.reduction import reduce_pair
-from vardtf.spectral import FrequencyMatrix, dtf, frequency_matrix_to_csv, transfer_function
+from vardtf.moments import _inverse, _mul
+from vardtf.reduction import ReducedRepresentation, whiteness_deficit
+from vardtf.spectral import (
+    FrequencyMatrix,
+    density_from_transfer,
+    dtf,
+    frequency_matrix_to_csv,
+    lag_polynomial,
+    transfer_function,
+)
 
 
 def random_stable_model(seed, dim=3, order=2, radius=0.6, sigma="random", lagless=()):
@@ -228,8 +237,21 @@ def dtf_csv_reference(model, grid, normalized=True):
 
 
 def reduction_reference(model, pair, grid):
-    """``reduce_pair`` on the transfer function of the whole grid."""
-    return reduce_pair(model, pair, transfer_function(model, grid))
+    """The reduction in one step over the whole grid: G = H_SS^-1 and the density
+    of G H_S. from the whole grid's H, with the library's 2x2 kernel."""
+    rows = transfer_function(model, grid).values[:, list(pair.channels)]
+    g = _inverse(rows[:, :, list(pair.channels)])[0]
+    error = density_from_transfer(FrequencyMatrix(grid, _mul(g, rows)), model.sigma)
+    return ReducedRepresentation(pair, FrequencyMatrix(grid, g), error)
+
+
+def residual_deficit_reference(model, pair, rep, grid):
+    """The marginal residual's whiteness deficit from one ``lag_polynomial`` and one
+    density over the whole grid: the density of Phi H_S. for the whole grid's H."""
+    phi = lag_polynomial(rep.phis, grid).values
+    rows = transfer_function(model, grid).values[:, list(pair.channels)]
+    density = density_from_transfer(FrequencyMatrix(grid, _mul(phi, rows)), model.sigma)
+    return whiteness_deficit(density)
 
 
 def simulate_reference(model, length, seed, burn_in):

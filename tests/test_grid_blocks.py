@@ -1,12 +1,14 @@
 """Every command walks the grid one ``grid_blocks`` block at a time.
 
-``dtf`` and ``reduce`` hold no whole-grid transfer function; ``analyze``,
-``granger`` and ``counterexample`` hold only H whole, built block by block.
-Their outputs equal the whole-grid computation byte for byte across block
-boundaries, a failure after some blocks leaves no partial file and names the
-first bad frequency, overflow is a named numerical failure, and allocation
-peaks stay bounded: ``dtf`` and ``reduce`` below half of one whole-grid H,
-``analyze`` and ``granger`` a small multiple of it.
+``dtf``, ``reduce`` and ``marginalize`` hold no whole-grid transfer function
+(the pair readers take ``transfer_blocks``); ``analyze``, ``granger`` and
+``counterexample`` hold only H whole, built block by block, and read it by
+blocks. Their outputs equal the whole-grid computation byte for byte across
+block boundaries, a failure after some blocks leaves no partial file and
+names the first bad frequency, overflow is a named numerical failure, and
+allocation peaks stay bounded: ``dtf``, ``reduce`` and ``marginalize`` below
+half of one whole-grid H, ``analyze`` (at the default ``--qmax`` too) and
+``granger`` a small multiple of it.
 """
 
 import json
@@ -19,9 +21,22 @@ import pytest
 from vardtf import ChannelPair, counterexample_model, make_var, spectral, write_model
 from vardtf.cli import main
 from vardtf.exceptions import SingularAtFrequency
-from vardtf.reduction import error_spectral_matrix, is_white, reduced_polynomial, whiteness_deficit
+from vardtf.marginal import innovation_whiteness_check, marginal_representation
+from vardtf.reduction import (
+    error_spectral_matrix,
+    is_white,
+    reduce_pair,
+    reduced_polynomial,
+    whiteness_deficit,
+)
 
-from helpers import dtf_csv_reference, frequency_csv, random_stable_model, reduction_reference
+from helpers import (
+    dtf_csv_reference,
+    frequency_csv,
+    random_stable_model,
+    reduction_reference,
+    residual_deficit_reference,
+)
 
 #: Around one and two blocks of 512 points, and the fine bench grid.
 GRID_COUNTS = [2, 3, 512, 513, 1024, 1025, 16385]
@@ -147,7 +162,10 @@ def test_overflow_is_a_named_numerical_failure(argv, message, tmp_path, capsys):
     assert message in _numerical_error_line(captured.err)
 
 
-@pytest.mark.parametrize("command,extra", [("dtf", ()), ("reduce", ("--pair", "1,2"))])
+@pytest.mark.parametrize(
+    "command,extra",
+    [("dtf", ()), ("reduce", ("--pair", "1,2")), ("marginalize", ("--pair", "1,2"))],
+)
 def test_peak_allocation_is_below_half_of_one_whole_grid_h(command, extra, tmp_path):
     assert PEAK_BOUND_BYTES < 16385 * 12 * 12 * 16 / 2
     path = tmp_path / "model.json"
@@ -170,6 +188,25 @@ def test_library_reduction_equals_reduce_pair_on_the_whole_grid(case, count):
     ref = reduction_reference(model, pair, grid)
     assert np.array_equal(reduced_polynomial(model, pair, grid).values, ref.reduced_poly.values)
     assert np.array_equal(error_spectral_matrix(model, pair, grid).values, ref.error_spectrum.values)
+    red = reduce_pair(model, pair, spectral.transfer_blocks(model, grid))
+    assert np.array_equal(red.reduced_poly.values, ref.reduced_poly.values)
+    assert np.array_equal(red.error_spectrum.values, ref.error_spectrum.values)
+    assert np.array_equal(red.error_spectrum.grid.points, grid.points)
+
+
+@pytest.mark.parametrize("count", GRID_COUNTS)
+def test_marginal_residual_deficit_equals_the_whole_grid_one(case, count, tmp_path, capsys):
+    model, margs, pair_text, pair = case
+    grid = spectral.default_grid(count)
+    rep = marginal_representation(model, pair)
+    expected = residual_deficit_reference(model, pair, rep, grid)
+    for transfer in (spectral.transfer_blocks(model, grid), spectral.transfer_function(model, grid)):
+        assert innovation_whiteness_check(model, pair, rep, transfer) == expected
+    out = tmp_path / "out"
+    assert run("marginalize", *margs, "--pair", pair_text, "--grid", count, "--out", out) == 0
+    doc = json.loads((out / "marginal.json").read_text(encoding="utf-8"))
+    assert doc["whiteness_deficit"] == expected
+    assert f"residual whiteness deficit: {expected:.6g}\n" in capsys.readouterr().out
 
 
 def test_library_reduction_peak_allocation():
@@ -274,11 +311,16 @@ def test_singular_point_in_a_later_block_is_named(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command,bound",
-    [(("analyze", "--out", "OUT"), ANALYZE_PEAK_BOUND_H), (("granger", "--json"), GRANGER_PEAK_BOUND_H)],
-    ids=["analyze", "granger"],
+    "command,bound,qmax",
+    [
+        (("analyze", "--out", "OUT"), ANALYZE_PEAK_BOUND_H, ("--qmax", 16)),
+        (("granger", "--json"), GRANGER_PEAK_BOUND_H, ("--qmax", 16)),
+        # the residual checks' Phi(lambda) at order up to 128, read block by block
+        (("analyze", "--out", "OUT"), ANALYZE_PEAK_BOUND_H, ()),
+    ],
+    ids=["analyze", "granger", "analyze-default-qmax"],
 )
-def test_only_h_is_held_whole(command, bound, tmp_path, capsys):
+def test_only_h_is_held_whole(command, bound, qmax, tmp_path, capsys):
     count, dim = 4097, 8
     h_bytes = count * dim * dim * 16
     path = tmp_path / "model.json"
@@ -286,7 +328,7 @@ def test_only_h_is_held_whole(command, bound, tmp_path, capsys):
     argv = [tmp_path / "out" if a == "OUT" else a for a in command]
     tracemalloc.start()
     try:
-        assert run(*argv, "--model", path, "--grid", count, "--qmax", 16) == 0
+        assert run(*argv, "--model", path, "--grid", count, *qmax) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
