@@ -106,8 +106,7 @@ def _output(outdir: Path | None, name: str):
 
 def _write_csv(outdir: Path | None, name: str, blocks) -> None:
     with _output(outdir, name) as fh:
-        for i, fm in enumerate(blocks):
-            spectral.frequency_matrix_to_csv(fm, fh, header=i == 0)
+        spectral.frequency_table_to_csv(blocks, fh)
 
 
 def _write_json(outdir: Path | None, name: str, doc) -> None:

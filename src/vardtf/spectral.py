@@ -9,10 +9,21 @@ matrix polynomial
 its inverse H(lambda) (the transfer function), the spectral density
 f(lambda) = H(lambda) Sigma H(lambda)* / (2 pi), and the directed transfer
 function built from |H_jk|^2.
+
+Grids are walked one ``grid_blocks`` block at a time, with one helper thread
+beside the caller (numpy's inversions and CSV writes release the GIL): H of a
+model of at least PAIR_MIN_DIM channels is computed two blocks at a time, and a
+table of several blocks is written one block behind the caller. A walk or table
+of one block never starts the helper, and every block goes through the same
+numpy calls, so results keep their bits.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +43,11 @@ INVERSION_RESIDUAL_TOL = 1e-10
 
 #: Most grid points per block of ``grid_blocks``, the one place a grid is cut.
 RESIDUAL_CHUNK = 512
+
+#: Fewest channels for which H is computed two blocks at a time (``_walk``). Each point's
+#: inverse is a few LAPACK calls, and two threads' calls on smaller matrices slow each
+#: other more than they overlap (at 16385 points: d=3 about 25 -> 40 ms, d=12 205 -> 140 ms).
+PAIR_MIN_DIM = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +71,48 @@ class FrequencyGrid:
 
     def __len__(self) -> int:
         return self.points.size
+
+
+def _start_helper() -> None:
+    """(Re)create the one helper, a one-worker pool whose thread starts with its first
+    task; a forked child gets a new one, since the parent's thread is not copied."""
+    global _helper
+    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vardtf-spectral")
+
+
+_start_helper()
+os.register_at_fork(after_in_child=_start_helper)
+
+
+def _submit(fn, *args):
+    """A future of ``fn(*args)`` on the helper, run in the caller's context (its
+    ``np.errstate``). A task walks one block, so it never waits on the helper."""
+    return _helper.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _in_pairs(step, *iterables):
+    """``step`` on each of the zipped ``iterables``, yielded in order: item 2k in the caller
+    while item 2k+1 runs on the helper, and a last odd item in the caller alone. If an
+    item of a pair fails, the other is waited for, the earlier failure is raised and no
+    later item starts; no task is left running when the walk ends or is dropped."""
+    items = zip(*iterables)
+    for item in items:
+        following = next(items, None)
+        if following is None:
+            yield step(*item)
+            return
+        other = _submit(step, *following)
+        try:
+            yield step(*item)
+        finally:
+            wait([other])
+        yield other.result()
+
+
+def _walk(model: VarModel):
+    """How the blocks of ``model``'s H are walked: ``_in_pairs`` from PAIR_MIN_DIM channels
+    on, else ``map``, one block at a time in the caller."""
+    return _in_pairs if model.dim >= PAIR_MIN_DIM else map
 
 
 def grid_blocks(grid: FrequencyGrid):
@@ -140,7 +198,7 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     """Transfer function H(lambda) = A(lambda)^-1 on the grid.
 
     A(lambda) is built, inverted (pivoted LU) and gated into H one ``grid_blocks`` block
-    at a time.
+    at a time, or two at a time (``_walk``).
 
     Raises
     ------
@@ -149,15 +207,20 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
         residual reaches the tolerance; this signals a model too close to the unit circle.
     """
     values = np.empty((len(grid), model.dim, model.dim), dtype=complex)
-    for block, out in zip(grid_blocks(grid), _cut(values)):
-        out[...] = invert_pointwise(char_polynomial(model, block)).values
+
+    def invert(block: FrequencyGrid, out: np.ndarray) -> None:
+        _invert_into(out, char_polynomial(model, block))
+
+    for _ in _walk(model)(invert, grid_blocks(grid), _cut(values)):
+        pass
     return FrequencyMatrix(grid=grid, values=values)
 
 
 def transfer_blocks(model: VarModel, grid: FrequencyGrid):
-    """``transfer_function`` on each ``grid_blocks`` block of ``grid``, one at a time, in
-    order; an iterator, so each walk over the blocks needs its own."""
-    return (transfer_function(model, block) for block in grid_blocks(grid))
+    """``transfer_function`` on each ``grid_blocks`` block of ``grid``, in order, computed
+    one or two at a time (``_walk``) as the walk reaches them; an iterator, so each walk
+    over the blocks needs its own."""
+    return _walk(model)(lambda block: transfer_function(model, block), grid_blocks(grid))
 
 
 def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:
@@ -172,6 +235,14 @@ def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:
         At the first grid point where the residual ||inv A - I||_F is not
         below 1e-10 (a singular point's reads nan).
     """
+    out = np.empty(fm.values.shape, dtype=complex)
+    _invert_into(out, fm)
+    return FrequencyMatrix(grid=fm.grid, values=out)
+
+
+def _invert_into(out: np.ndarray, fm: FrequencyMatrix) -> None:
+    """``invert_pointwise`` of ``fm`` written into ``out``, which first holds the residual
+    X A - I: its norm is taken in place, so the gate allocates no block-sized temporary."""
     values = fm.values
     try:
         inv = np.linalg.inv(values)
@@ -182,8 +253,12 @@ def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:
                 inv[m] = np.linalg.inv(values[m])
             except np.linalg.LinAlgError:
                 pass
-    _refuse(np.linalg.norm(inv @ values - np.eye(values.shape[1]), axis=(1, 2)), fm.grid)
-    return FrequencyMatrix(grid=fm.grid, values=inv)
+    n, d = values.shape[:2]
+    np.matmul(inv, values, out=out)
+    out.reshape(n, d * d)[:, :: d + 1] -= 1.0
+    cells = out.reshape(n, -1).view(float)
+    _refuse(np.sqrt(np.einsum("ij,ij->i", cells, cells)), fm.grid)
+    out[...] = inv
 
 
 def _refuse(residual: np.ndarray, grid: FrequencyGrid, detail: str = "") -> None:
@@ -281,3 +356,21 @@ def frequency_matrix_to_csv(fm: FrequencyMatrix, fh, header: bool = True) -> Non
     # Viewing complex entries as float pairs interleaves re and im in place.
     cells = np.ascontiguousarray(fm.values).reshape(n, -1).view(float)
     write_csv(fh, names if header else [], fm.grid.points, cells)
+
+
+def frequency_table_to_csv(blocks, fh) -> None:
+    """Write consecutive blocks of one grid (``blocks`` may be lazy) as one CSV table. The
+    first, with the header, is written in the caller; each later one on the helper while
+    the caller computes the next, once the one before is written. A failed write is raised
+    here, and every write has ended when this returns or raises."""
+    blocks, writing = iter(blocks), None
+    for fm in itertools.islice(blocks, 1):
+        frequency_matrix_to_csv(fm, fh)
+    try:
+        for fm in blocks:
+            if writing is not None:
+                writing.result()
+            writing = _submit(frequency_matrix_to_csv, fm, fh, False)
+    finally:
+        if writing is not None:
+            writing.result()

@@ -9,11 +9,24 @@ names the first bad frequency, overflow is a named numerical failure, and
 allocation peaks stay bounded: ``dtf``, ``reduce`` and ``marginalize`` below
 half of one whole-grid H, ``analyze`` (at the default ``--qmax`` too) and
 ``granger`` a small multiple of it.
+
+For a model of at least ``PAIR_MIN_DIM`` channels the walks of
+``transfer_function`` and ``transfer_blocks`` run blocks in pairs, one in the
+caller and one on the spectral helper thread, and a table of several blocks is
+written on the helper one block behind: a failure names the earlier bad block of
+a pair and starts no later block, every block sees the caller's ``np.errstate``,
+a failed write is one ``error[io]`` line, neither a grid of one block nor a
+smaller model starts the helper, and a forked child gets its own.
 """
 
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +347,177 @@ def test_only_h_is_held_whole(command, bound, qmax, tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak <= bound * h_bytes
+
+
+def _record_blocks(monkeypatch):
+    """Wrap ``spectral.char_polynomial`` to record, per call, (block's first point,
+    thread, ``np.geterr()``); returns the list, appended from either thread."""
+    real, calls = spectral.char_polynomial, []
+
+    def char_polynomial(model, grid):
+        calls.append((grid.points[0], threading.current_thread(), np.geterr()))
+        return real(model, grid)
+
+    monkeypatch.setattr(spectral, "char_polynomial", char_polynomial)
+    return calls
+
+
+def _block_indices(grid, calls) -> list:
+    firsts = [b.points[0] for b in spectral.grid_blocks(grid)]
+    return sorted(firsts.index(first) for first, _, _ in calls)
+
+
+#: Five blocks of about 410 points: the pairs (0, 1) and (2, 3), then block 4 alone.
+PAIRED_GRID = spectral.default_grid(2049)
+
+
+def _paired(model):
+    """``model`` with white-noise channels appended up to ``PAIR_MIN_DIM``, so that its H
+    is walked in pairs of blocks."""
+    dim = max(model.dim, spectral.PAIR_MIN_DIM)
+    coeffs = np.zeros((model.order, dim, dim))
+    coeffs[:, : model.dim, : model.dim] = model.coeffs
+    return make_var(list(coeffs), np.eye(dim))
+
+
+WALKS = {
+    "transfer_function": lambda model, grid: spectral.transfer_function(model, grid),
+    "transfer_blocks": lambda model, grid: list(spectral.transfer_blocks(model, grid)),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_a_failure_on_the_helper_is_named_and_stops_the_walk(walk, monkeypatch):
+    # the singular point is in block 1, which the helper computes beside block 0
+    blocks = list(spectral.grid_blocks(PAIRED_GRID))
+    assert len(blocks) == 5
+    bad = blocks[1].points[100]
+    calls = _record_blocks(monkeypatch)
+    with pytest.raises(SingularAtFrequency) as exc:
+        WALKS[walk](_paired(_near_unit_circle_model([bad])), PAIRED_GRID)
+    assert exc.value.frequency == bad
+    assert _block_indices(PAIRED_GRID, calls) == [0, 1]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_the_earlier_failure_of_a_pair_is_named(walk, monkeypatch):
+    blocks = list(spectral.grid_blocks(PAIRED_GRID))
+    first, later = blocks[0].points[300], blocks[1].points[5]
+    calls = _record_blocks(monkeypatch)
+    with pytest.raises(SingularAtFrequency) as exc:
+        WALKS[walk](_paired(_near_unit_circle_model([later, first])), PAIRED_GRID)
+    assert exc.value.frequency == first
+    assert _block_indices(PAIRED_GRID, calls) == [0, 1]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_every_block_sees_the_callers_errstate(walk, monkeypatch):
+    model = random_stable_model(2, dim=spectral.PAIR_MIN_DIM, order=2, radius=0.8)
+    calls = _record_blocks(monkeypatch)
+    expected = {"divide": "ignore", "over": "raise", "under": "warn", "invalid": "ignore"}
+    with np.errstate(**expected):
+        WALKS[walk](model, PAIRED_GRID)
+    assert _block_indices(PAIRED_GRID, calls) == [0, 1, 2, 3, 4]
+    assert all(err == expected for _, _, err in calls)
+    # blocks 1 and 3 ran on the helper, the rest in the caller
+    helper = {first for first, thread, _ in calls if thread is not threading.current_thread()}
+    assert helper == {b.points[0] for b in list(spectral.grid_blocks(PAIRED_GRID))[1::2]}
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this vardtf."""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_one_block_never_starts_the_helper_and_more_start_one(tmp_path):
+    # so does a model below PAIR_MIN_DIM channels, whose H is walked in the caller
+    out = str(tmp_path)
+    write_model(random_stable_model(1, dim=spectral.PAIR_MIN_DIM, order=2), tmp_path / "m.json")
+    result = _python(f"""
+import threading
+from vardtf.cli import main
+small, large = ("--alpha", "1", "--beta", "1"), ("--model", {str(tmp_path / "m.json")!r})
+assert main(["analyze", *small, "--out", {out!r}]) == 0
+assert main(["granger", *small, "--json"]) == 0
+assert main(["reduce", *small, "--pair", "1,2", "--out", {out!r}]) == 0
+assert main(["dtf", *small, "--out", {out!r}]) == 0
+assert main(["reduce", *large, "--pair", "1,2", "--out", {out!r}]) == 0
+assert main(["reduce", *small, "--pair", "1,2", "--grid", "16385", "--out", {out!r}]) == 0
+print("threads", len(threading.enumerate()))
+assert main(["reduce", *large, "--pair", "1,2", "--grid", "16385", "--out", {out!r}]) == 0
+assert main(["dtf", *small, "--grid", "16385", "--out", {out!r}]) == 0
+print("threads", len(threading.enumerate()))
+""")
+    assert result.returncode == 0, result.stderr
+    counts = [line for line in result.stdout.splitlines() if line.startswith("threads")]
+    assert counts == ["threads 1", "threads 2"]
+
+
+def test_a_forked_child_gets_its_own_helper():
+    # the parent's helper thread is not copied into the child, which must not wait on it
+    result = _python("""
+import multiprocessing, sys
+import numpy as np
+from vardtf import make_var, spectral
+dim = spectral.PAIR_MIN_DIM
+model = make_var([0.5 * np.eye(dim), 0.02 * np.ones((dim, dim))], np.eye(dim))
+grid = spectral.default_grid(2049)
+h = spectral.transfer_function(model, grid).values
+
+def child():
+    sys.exit(0 if np.array_equal(spectral.transfer_function(model, grid).values, h) else 3)
+
+proc = multiprocessing.get_context("fork").Process(target=child)
+proc.start()
+proc.join(60)
+if proc.exitcode is None:
+    proc.kill()
+    proc.join()
+    sys.exit("the child hung")
+sys.exit(proc.exitcode)
+""")
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_failed_block_waits_for_the_write_before_it(monkeypatch, capsys):
+    # block 2 fails while block 1 is written on the helper: both earlier blocks are
+    # on stdout in full before the one error line
+    real, sizes = spectral.dtf, []
+
+    def dtf(model, grid, normalized=True):
+        sizes.append(len(grid))
+        if len(sizes) == 3:
+            raise SingularAtFrequency(grid.points[0])
+        return real(model, grid, normalized)
+
+    monkeypatch.setattr(spectral, "dtf", dtf)
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 1025) == 1
+    assert sizes == [342, 342, 341]
+    captured = capsys.readouterr()
+    expected = dtf_csv_reference(counterexample_model(1, 1), spectral.default_grid(1025))
+    assert captured.out == "".join(expected.splitlines(keepends=True)[: 1 + 2 * 342])
+    _numerical_error_line(captured.err)
+
+
+def test_a_failed_write_on_the_helper_is_one_io_error(tmp_path, monkeypatch, capsys):
+    real, threads = spectral.frequency_matrix_to_csv, []
+
+    def frequency_matrix_to_csv(fm, fh, header=True):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise OSError(28, "No space left on device")
+        return real(fm, fh, header)
+
+    monkeypatch.setattr(spectral, "frequency_matrix_to_csv", frequency_matrix_to_csv)
+    out = tmp_path / "out"
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 1025, "--out", out) == 2
+    # block 0 was written in the caller, block 1 failed on the helper, block 2 was never handed over
+    assert len(threads) == 2 and threads[0] is threading.current_thread() is not threads[1]
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[io]: [Errno 28] No space left on device\n"
