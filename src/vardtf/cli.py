@@ -29,7 +29,7 @@ import numpy as np
 
 from . import causality, estimate, marginal, moments, reduction, spectral
 from .exceptions import NotConverged, NumericalError, VardtfError
-from .jsonio import canonical_json, write_csv
+from .jsonio import canonical_json, removed_on_failure, write_csv
 from .model import ChannelPair, VarModel, counterexample_model, read_model
 
 
@@ -88,20 +88,12 @@ def _resolve(args) -> argparse.Namespace:
     return args
 
 
-@contextlib.contextmanager
 def _output(outdir: Path | None, name: str):
     """The file ``name`` in ``outdir``, removed if writing fails, or else stdout. Every
     file a command writes is opened here, so a failed command leaves no partial file."""
     if outdir is None:
-        yield sys.stdout
-        return
-    with open(outdir / name, "w", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except BaseException:
-            fh.close()
-            (outdir / name).unlink()
-            raise
+        return contextlib.nullcontext(sys.stdout)
+    return removed_on_failure(open(outdir / name, "w", encoding="utf-8"))
 
 
 def _write_csv(outdir: Path | None, name: str, blocks) -> None:

@@ -63,7 +63,9 @@ so the reader holds the table and one chunk's working set (about 0.25 MB).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 
 import numpy as np
 
@@ -302,6 +304,19 @@ def write_csv(fh, header: list, first: np.ndarray, rest: np.ndarray) -> None:
         stop = start + rows
         block = np.column_stack((first[start:stop], rest[start:stop])).astype(float, copy=False)
         fh.write(_format_cells(block.ravel(), eol[: len(block)].ravel()))
+
+
+@contextlib.contextmanager
+def removed_on_failure(fh):
+    """``fh``, a file just opened for writing, closed when the ``with`` block ends and
+    removed if the block fails, so that a failed write leaves no partial file."""
+    with fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.remove(fh.name)
+            raise
 
 
 # read_csv's fast path: the largest scale s, and the bound on the significand.

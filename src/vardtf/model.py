@@ -13,7 +13,6 @@ Channel indices are 0-based throughout the library; the CLI renders them
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from .exceptions import (
     ShapeMismatch,
     Unstable,
 )
-from .jsonio import canonical_json
+from .jsonio import canonical_json, removed_on_failure
 
 #: Stability margin: models with companion spectral radius >= 1 - this are
 #: rejected, because the Lyapunov moment solve needs strict stability.
@@ -228,13 +227,8 @@ def companion_matrix(model: VarModel) -> np.ndarray:
 
 def write_model(model: VarModel, path) -> None:
     """Write a model as JSON (keys dim, order, coeffs, sigma); a failed write leaves no file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        try:
-            fh.write(canonical_json(model.to_dict()))
-        except BaseException:
-            fh.close()
-            os.remove(path)
-            raise
+    with removed_on_failure(open(path, "w", encoding="utf-8")) as fh:
+        fh.write(canonical_json(model.to_dict()))
 
 
 def model_from_dict(doc: dict) -> VarModel:

@@ -143,18 +143,17 @@ def whiteness_deficit(spectrum: FrequencyMatrix) -> float:
     deviation is normed by ``moments._frobenius``, so a finite deficit reads finite
     and a 2x2 spectrum and its channel swap get the same bits.
     """
-    scaled, scale = _scaled(spectrum.values, axis=None)
-    scaled = 2.0 * np.pi * scaled
-    return float(np.max(_frobenius(scaled - scaled.mean(axis=0)))) / scale.item()
+    return whiteness(spectrum)[0]
 
 
 def whiteness(spectrum: FrequencyMatrix) -> tuple:
-    """(whiteness_deficit, is_white) of a spectrum, with the deficit computed once; the
-    verdict's ratio is taken on the spectrum ``_scaled`` as in ``whiteness_deficit``."""
-    deficit = whiteness_deficit(spectrum)
+    """(whiteness_deficit, is_white) of a spectrum: the deficit and the mean's norm are
+    both read off the one ``_scaled`` spectrum, and the verdict is their ratio."""
     scaled, scale = _scaled(spectrum.values, axis=None)
-    mean = float(_frobenius((2.0 * np.pi * scaled).mean(axis=0)))
-    return deficit, mean == 0.0 or deficit * scale.item() / mean <= WHITE_REL_TOL
+    scaled = 2.0 * np.pi * scaled
+    mean = scaled.mean(axis=0)
+    deficit, mean_norm = float(np.max(_frobenius(scaled - mean))), float(_frobenius(mean))
+    return deficit / scale.item(), mean_norm == 0.0 or deficit / mean_norm <= WHITE_REL_TOL
 
 
 def is_white(spectrum: FrequencyMatrix) -> bool:

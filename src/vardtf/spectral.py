@@ -10,20 +10,20 @@ its inverse H(lambda) (the transfer function), the spectral density
 f(lambda) = H(lambda) Sigma H(lambda)* / (2 pi), and the directed transfer
 function built from |H_jk|^2.
 
-Grids are walked one ``grid_blocks`` block at a time, with one helper thread
-beside the caller (numpy's inversions and CSV writes release the GIL): H of a
-model of at least PAIR_MIN_DIM channels is computed two blocks at a time, and a
-table of several blocks is written one block behind the caller. A walk or table
-of one block never starts the helper, and every block goes through the same
-numpy calls, so results keep their bits.
+Grids are walked one ``grid_blocks`` block at a time. A walk of several blocks
+may have a helper thread beside the caller (numpy's inversions and CSV writes
+release the GIL): H of a model of at least PAIR_MIN_DIM channels is computed two
+blocks at a time, and a table of several blocks is written one block behind the
+caller. Each such walk makes its own helper, whose thread has ended once the
+walk finishes, fails or is dropped; a walk or table of one block makes none.
+Every block goes through the same numpy calls, so results keep their bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,46 +73,37 @@ class FrequencyGrid:
         return self.points.size
 
 
-def _start_helper() -> None:
-    """(Re)create the one helper, a one-worker pool whose thread starts with its first
-    task; a forked child gets a new one, since the parent's thread is not copied."""
-    global _helper
-    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vardtf-spectral")
+@contextlib.contextmanager
+def _helper():
+    """One walk's helper thread, as its ``submit(fn, *args)``: each task runs in the caller's
+    context (its ``np.errstate``), and the thread, started by the first task, is joined when
+    the ``with`` block ends. Only a walk that starts a thread imports ``concurrent.futures``."""
+    from concurrent.futures import ThreadPoolExecutor
 
-
-_start_helper()
-os.register_at_fork(after_in_child=_start_helper)
-
-
-def _submit(fn, *args):
-    """A future of ``fn(*args)`` on the helper, run in the caller's context (its
-    ``np.errstate``). A task walks one block, so it never waits on the helper."""
-    return _helper.submit(contextvars.copy_context().run, fn, *args)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="vardtf-spectral") as pool:
+        yield lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args)
 
 
 def _in_pairs(step, *iterables):
     """``step`` on each of the zipped ``iterables``, yielded in order: item 2k in the caller
-    while item 2k+1 runs on the helper, and a last odd item in the caller alone. If an
-    item of a pair fails, the other is waited for, the earlier failure is raised and no
-    later item starts; no task is left running when the walk ends or is dropped."""
+    while item 2k+1 runs on the walk's helper, and a last odd item in the caller alone. If
+    an item of a pair fails, the other is waited for, the earlier failure is raised and no
+    later item starts; the helper's thread has ended when the walk ends or is dropped."""
     items = zip(*iterables)
-    for item in items:
-        following = next(items, None)
-        if following is None:
+    with _helper() as submit:
+        for item in items:
+            following = next(items, None)
+            other = None if following is None else submit(step, *following)
             yield step(*item)
-            return
-        other = _submit(step, *following)
-        try:
-            yield step(*item)
-        finally:
-            wait([other])
-        yield other.result()
+            if other is not None:
+                yield other.result()
 
 
-def _walk(model: VarModel):
-    """How the blocks of ``model``'s H are walked: ``_in_pairs`` from PAIR_MIN_DIM channels
-    on, else ``map``, one block at a time in the caller."""
-    return _in_pairs if model.dim >= PAIR_MIN_DIM else map
+def _walk(model: VarModel, grid: FrequencyGrid):
+    """How the blocks of ``model``'s H on ``grid`` are walked: ``_in_pairs`` from
+    PAIR_MIN_DIM channels on a grid of several blocks, else ``map``, one block at a time
+    in the caller."""
+    return _in_pairs if model.dim >= PAIR_MIN_DIM and len(grid) > RESIDUAL_CHUNK else map
 
 
 def grid_blocks(grid: FrequencyGrid):
@@ -211,7 +202,7 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     def invert(block: FrequencyGrid, out: np.ndarray) -> None:
         _invert_into(out, char_polynomial(model, block))
 
-    for _ in _walk(model)(invert, grid_blocks(grid), _cut(values)):
+    for _ in _walk(model, grid)(invert, grid_blocks(grid), _cut(values)):
         pass
     return FrequencyMatrix(grid=grid, values=values)
 
@@ -220,7 +211,7 @@ def transfer_blocks(model: VarModel, grid: FrequencyGrid):
     """``transfer_function`` on each ``grid_blocks`` block of ``grid``, in order, computed
     one or two at a time (``_walk``) as the walk reaches them; an iterator, so each walk
     over the blocks needs its own."""
-    return _walk(model)(lambda block: transfer_function(model, block), grid_blocks(grid))
+    return _walk(model, grid)(lambda block: transfer_function(model, block), grid_blocks(grid))
 
 
 def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:
@@ -360,17 +351,21 @@ def frequency_matrix_to_csv(fm: FrequencyMatrix, fh, header: bool = True) -> Non
 
 def frequency_table_to_csv(blocks, fh) -> None:
     """Write consecutive blocks of one grid (``blocks`` may be lazy) as one CSV table. The
-    first, with the header, is written in the caller; each later one on the helper while
-    the caller computes the next, once the one before is written. A failed write is raised
-    here, and every write has ended when this returns or raises."""
-    blocks, writing = iter(blocks), None
+    first, with the header, is written in the caller. A second block starts a helper, which
+    writes it and each later block while the caller computes the next, once the one before
+    is written. A failed write is raised here, ahead of a failure computing the next block,
+    and every write has ended, with the helper's thread, when this returns or raises."""
+    blocks = iter(blocks)
     for fm in itertools.islice(blocks, 1):
         frequency_matrix_to_csv(fm, fh)
-    try:
-        for fm in blocks:
-            if writing is not None:
+    second = next(blocks, None)
+    if second is None:
+        return
+    with _helper() as submit:
+        writing = submit(frequency_matrix_to_csv, second, fh, False)
+        try:
+            for fm in blocks:
                 writing.result()
-            writing = _submit(frequency_matrix_to_csv, fm, fh, False)
-    finally:
-        if writing is not None:
+                writing = submit(frequency_matrix_to_csv, fm, fh, False)
+        finally:
             writing.result()

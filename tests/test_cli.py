@@ -250,9 +250,9 @@ class TestOtherCommands:
 
     def test_reduce_computes_the_whiteness_deficit_once(self, tmp_path, monkeypatch):
         calls = []
-        deficit = reduction.whiteness_deficit
+        whiteness = reduction.whiteness
         monkeypatch.setattr(
-            reduction, "whiteness_deficit", lambda spectrum: calls.append(1) or deficit(spectrum)
+            reduction, "whiteness", lambda spectrum: calls.append(1) or whiteness(spectrum)
         )
         args = ("--alpha", 1, "--beta", 1, "--pair", "1,2", "--out", tmp_path / "red")
         assert run("reduce", *args) == 0

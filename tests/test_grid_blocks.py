@@ -12,11 +12,13 @@ half of one whole-grid H, ``analyze`` (at the default ``--qmax`` too) and
 
 For a model of at least ``PAIR_MIN_DIM`` channels the walks of
 ``transfer_function`` and ``transfer_blocks`` run blocks in pairs, one in the
-caller and one on the spectral helper thread, and a table of several blocks is
+caller and one on the walk's helper thread, and a table of several blocks is
 written on the helper one block behind: a failure names the earlier bad block of
 a pair and starts no later block, every block sees the caller's ``np.errstate``,
-a failed write is one ``error[io]`` line, neither a grid of one block nor a
-smaller model starts the helper, and a forked child gets its own.
+a failed write is one ``error[io]`` line raised ahead of a failure computing the
+next block, neither a grid of one block nor a smaller model starts a helper or
+imports its pool, no helper thread outlives its walk, whether the walk ends,
+fails or is dropped, and a forked child walks with a helper of its own.
 """
 
 import json
@@ -24,6 +26,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -433,28 +436,92 @@ def _python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_one_block_never_starts_the_helper_and_more_start_one(tmp_path):
-    # so does a model below PAIR_MIN_DIM channels, whose H is walked in the caller
-    out = str(tmp_path)
-    write_model(random_stable_model(1, dim=spectral.PAIR_MIN_DIM, order=2), tmp_path / "m.json")
+def _helper_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("vardtf-spectral")]
+
+
+def test_only_walks_of_several_blocks_start_a_helper_and_none_outlives_its_command(tmp_path):
+    # a one-block grid or a model below PAIR_MIN_DIM channels is walked in the caller, and
+    # nothing imports the helper's pool; a d>=8 several-block walk of H runs its odd blocks,
+    # and a table of several blocks its later writes, on a thread that ends with the walk,
+    # also when the walk fails (in block 1, on the helper)
+    out, path, bad = str(tmp_path), str(tmp_path / "m.json"), str(tmp_path / "bad.json")
+    write_model(random_stable_model(1, dim=spectral.PAIR_MIN_DIM, order=2), path)
+    singular = list(spectral.grid_blocks(PAIRED_GRID))[1].points[100]
+    write_model(_paired(_near_unit_circle_model([singular])), bad)
     result = _python(f"""
-import threading
+import sys, threading
+from vardtf import spectral
 from vardtf.cli import main
-small, large = ("--alpha", "1", "--beta", "1"), ("--model", {str(tmp_path / "m.json")!r})
-assert main(["analyze", *small, "--out", {out!r}]) == 0
-assert main(["granger", *small, "--json"]) == 0
-assert main(["reduce", *small, "--pair", "1,2", "--out", {out!r}]) == 0
-assert main(["dtf", *small, "--out", {out!r}]) == 0
-assert main(["reduce", *large, "--pair", "1,2", "--out", {out!r}]) == 0
-assert main(["reduce", *small, "--pair", "1,2", "--grid", "16385", "--out", {out!r}]) == 0
-print("threads", len(threading.enumerate()))
-assert main(["reduce", *large, "--pair", "1,2", "--grid", "16385", "--out", {out!r}]) == 0
-assert main(["dtf", *small, "--grid", "16385", "--out", {out!r}]) == 0
-print("threads", len(threading.enumerate()))
+
+caller, threads = threading.current_thread(), []
+
+def recorded(real):
+    def call(*args):
+        threads.append(threading.current_thread())
+        return real(*args)
+    return call
+
+spectral.char_polynomial = recorded(spectral.char_polynomial)
+spectral.frequency_matrix_to_csv = recorded(spectral.frequency_matrix_to_csv)
+small, large = ("--alpha", "1", "--beta", "1"), ("--model", {path!r})
+print("@import", "concurrent.futures" in sys.modules, threading.active_count())
+for code, argv in [
+    (0, ("analyze", *large, "--out", {out!r})),
+    (0, ("granger", *large, "--json")),
+    (0, ("dtf", *large, "--out", {out!r})),
+    (0, ("reduce", *large, "--pair", "1,2", "--out", {out!r})),
+    (0, ("reduce", *small, "--pair", "1,2", "--grid", "16385", "--out", {out!r})),
+    (0, ("reduce", *large, "--pair", "1,2", "--grid", "16385", "--out", {out!r})),
+    (0, ("dtf", *small, "--grid", "16385", "--out", {out!r})),
+    (1, ("reduce", "--model", {bad!r}, "--pair", "1,2", "--grid", "2049", "--out", {out!r})),
+]:
+    threads.clear()
+    assert main(list(argv)) == code
+    helper = any(thread is not caller for thread in threads)
+    print("@" + argv[0], "concurrent.futures" in sys.modules, helper, threading.active_count())
 """)
     assert result.returncode == 0, result.stderr
-    counts = [line for line in result.stdout.splitlines() if line.startswith("threads")]
-    assert counts == ["threads 1", "threads 2"]
+    lines = [line for line in result.stdout.splitlines() if line.startswith("@")]
+    assert lines == [
+        "@import False 1",
+        "@analyze False False 1",
+        "@granger False False 1",
+        "@dtf False False 1",
+        "@reduce False False 1",
+        "@reduce False False 1",
+        "@reduce True True 1",
+        "@dtf True True 1",
+        "@reduce True True 1",
+    ]
+
+
+def test_a_dropped_walk_waits_for_the_helpers_block_and_leaves_no_thread(monkeypatch):
+    real, caller, ended = spectral.char_polynomial, threading.current_thread(), []
+
+    def char_polynomial(model, grid):
+        if threading.current_thread() is not caller:
+            time.sleep(0.2)  # so that block 1 is still running when block 0 is yielded
+        result = real(model, grid)
+        ended.append(grid.points[0])
+        return result
+
+    monkeypatch.setattr(spectral, "char_polynomial", char_polynomial)
+    model = random_stable_model(2, dim=spectral.PAIR_MIN_DIM, order=2, radius=0.8)
+    walk = spectral.transfer_blocks(model, PAIRED_GRID)
+    next(walk)
+    walk.close()
+    blocks = list(spectral.grid_blocks(PAIRED_GRID))
+    assert sorted(ended) == [blocks[0].points[0], blocks[1].points[0]]
+    assert _helper_threads() == []
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_a_failed_walk_leaves_no_thread(walk):
+    bad = list(spectral.grid_blocks(PAIRED_GRID))[1].points[100]
+    with pytest.raises(SingularAtFrequency):
+        WALKS[walk](_paired(_near_unit_circle_model([bad])), PAIRED_GRID)
+    assert _helper_threads() == []
 
 
 def test_a_forked_child_gets_its_own_helper():
@@ -517,6 +584,34 @@ def test_a_failed_write_on_the_helper_is_one_io_error(tmp_path, monkeypatch, cap
     assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 1025, "--out", out) == 2
     # block 0 was written in the caller, block 1 failed on the helper, block 2 was never handed over
     assert len(threads) == 2 and threads[0] is threading.current_thread() is not threads[1]
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[io]: [Errno 28] No space left on device\n"
+
+
+def test_a_failed_write_is_raised_ahead_of_the_next_blocks_failure(tmp_path, monkeypatch, capsys):
+    # block 1's write fails on the helper while the caller's block 2 fails: the write's
+    # error is the command's, raised once the write ended, and the file is removed
+    real_dtf, real_csv, sizes, writes = spectral.dtf, spectral.frequency_matrix_to_csv, [], []
+
+    def dtf(model, grid, normalized=True):
+        sizes.append(len(grid))
+        if len(sizes) == 3:
+            raise SingularAtFrequency(grid.points[0])
+        return real_dtf(model, grid, normalized)
+
+    def frequency_matrix_to_csv(fm, fh, header=True):
+        writes.append(len(fm.grid))
+        if len(writes) == 2:
+            raise OSError(28, "No space left on device")
+        return real_csv(fm, fh, header)
+
+    monkeypatch.setattr(spectral, "dtf", dtf)
+    monkeypatch.setattr(spectral, "frequency_matrix_to_csv", frequency_matrix_to_csv)
+    out = tmp_path / "out"
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--grid", 1025, "--out", out) == 2
+    assert sizes == [342, 342, 341] and writes == [342, 342]
     assert list(out.iterdir()) == []
     captured = capsys.readouterr()
     assert captured.out == ""
