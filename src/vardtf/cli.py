@@ -63,15 +63,15 @@ def _make_grid(args) -> spectral.FrequencyGrid:
     fs = args.fs
     if not (np.isfinite(fs) and fs > 0):
         raise ValueError("--fs must be positive and finite")
-    lo, hi = 0.0, fs / 2.0
-    if args.band:
-        parts = args.band.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--band expects 'LO,HI' in Hz, got '{args.band}'")
-        lo, hi = float(parts[0]), float(parts[1])
+    if not args.band:  # [0, fs/2] Hz is [0, pi] rad, whatever the rate
+        return spectral.default_grid(count)
+    parts = args.band.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--band expects 'LO,HI' in Hz, got '{args.band}'")
+    lo, hi = float(parts[0]), float(parts[1])
     if not 0.0 <= lo < hi <= fs / 2.0 + 1e-12:
         raise ValueError("--band must satisfy 0 <= LO < HI <= fs/2")
-    return spectral.default_grid(count, 2.0 * np.pi * lo / fs, 2.0 * np.pi * hi / fs)
+    return spectral.default_grid(count, 2.0 * np.pi * (lo / fs), 2.0 * np.pi * (hi / fs))
 
 
 def _resolve(args) -> argparse.Namespace:
@@ -88,21 +88,22 @@ def _resolve(args) -> argparse.Namespace:
     return args
 
 
-def _output(outdir: Path | None, name: str):
-    """The file ``name`` in ``outdir``, removed if writing fails, or else stdout. Every
-    file a command writes is opened here, so a failed command leaves no partial file."""
-    if outdir is None:
+def _output(args, name: str):
+    """The file ``name`` in ``args.out``, or else stdout. Every file a command writes is
+    opened here and removed if the command fails, so a failed command leaves no file."""
+    if args.out is None:
         return contextlib.nullcontext(sys.stdout)
-    return removed_on_failure(open(outdir / name, "w", encoding="utf-8"))
+    fh = open(args.out / name, "w", encoding="utf-8")
+    return args.written.enter_context(removed_on_failure(fh))
 
 
-def _write_csv(outdir: Path | None, name: str, blocks) -> None:
-    with _output(outdir, name) as fh:
+def _write_csv(args, name: str, blocks) -> None:
+    with _output(args, name) as fh:
         spectral.frequency_table_to_csv(blocks, fh)
 
 
-def _write_json(outdir: Path | None, name: str, doc) -> None:
-    with _output(outdir, name) as fh:
+def _write_json(args, name: str, doc) -> None:
+    with _output(args, name) as fh:
         fh.write(canonical_json(doc))
 
 
@@ -139,11 +140,11 @@ def _report_table(report: causality.CausalityReport) -> str:
 
 def _write_reduction(args, red: reduction.ReducedRepresentation) -> tuple:
     """Write a reduction's spectra and reduction.json; returns (deficit, is_white)."""
-    _write_csv(args.out, "reduced_polynomial.csv", [red.reduced_poly])
-    _write_csv(args.out, "error_spectrum.csv", [red.error_spectrum])
+    _write_csv(args, "reduced_polynomial.csv", [red.reduced_poly])
+    _write_csv(args, "error_spectrum.csv", [red.error_spectrum])
     deficit, white = reduction.whiteness(red.error_spectrum)
     doc = {"pair": _pair_doc(red.pair), "whiteness_deficit": deficit, "is_white": white}
-    _write_json(args.out, "reduction.json", doc)
+    _write_json(args, "reduction.json", doc)
     return deficit, white
 
 
@@ -173,15 +174,15 @@ def cmd_counterexample(args) -> int:
     model, grid = args.model, args.grid
     pair = ChannelPair(target=0, source=1)
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
-    _write_csv(args.out, "transfer_function.csv", [report.transfer])
+    _write_csv(args, "transfer_function.csv", [report.transfer])
     deficit, _ = _write_reduction(args, reduction.reduce_pair(model, pair, report.transfer))
     verdict = next(v for v in report.pairs if (v.target, v.source) == pair.channels)
     if verdict.failure is not None:
         raise verdict.failure
     rep = verdict.marginal
     rep_deficit = marginal.innovation_whiteness_check(model, pair, rep, report.transfer)
-    _write_json(args.out, "marginal.json", _marginal_doc(rep, rep_deficit))
-    _write_json(args.out, "report.json", _report_doc(report))
+    _write_json(args, "marginal.json", _marginal_doc(rep, rep_deficit))
+    _write_json(args, "report.json", _report_doc(report))
 
     print(f"alpha={args.alpha:g} beta={args.beta:g}")
     print(_report_table(report))
@@ -195,12 +196,12 @@ def cmd_analyze(args) -> int:
     """Causality report plus per-pair marginalizations and spectra."""
     model, grid = args.model, args.grid
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
-    _write_json(args.out, "report.json", _report_doc(report))
+    _write_json(args, "report.json", _report_doc(report))
     h_blocks = list(spectral.matrix_blocks(report.transfer))  # views of H
     density = (spectral.density_from_transfer(h, model.sigma) for h in h_blocks)
-    _write_csv(args.out, "spectral_density.csv", density)
+    _write_csv(args, "spectral_density.csv", density)
     dtf = (spectral.dtf_from_transfer(h, normalized=not args.raw) for h in h_blocks)
-    _write_csv(args.out, "dtf.csv", map(spectral.FrequencyMatrix, (h.grid for h in h_blocks), dtf))
+    _write_csv(args, "dtf.csv", map(spectral.FrequencyMatrix, (h.grid for h in h_blocks), dtf))
 
     # (b, a)'s residual deficit is (a, b)'s, bit for bit: one check per unordered pair
     marginals, deficits = {}, {}
@@ -215,7 +216,7 @@ def cmd_analyze(args) -> int:
                 model, rep.pair, rep, report.transfer
             )
         marginals[_pair_label(v)] = _marginal_doc(rep, deficits[key])
-    _write_json(args.out, "marginals.json", marginals)
+    _write_json(args, "marginals.json", marginals)
 
     print(_report_table(report))
     return 0
@@ -224,7 +225,7 @@ def cmd_analyze(args) -> int:
 def cmd_dtf(args) -> int:
     grids = list(spectral.grid_blocks(args.grid))
     dtf = (spectral.dtf(args.model, b, normalized=not args.raw) for b in grids)
-    _write_csv(args.out, "dtf.csv", map(spectral.FrequencyMatrix, grids, dtf))
+    _write_csv(args, "dtf.csv", map(spectral.FrequencyMatrix, grids, dtf))
     return 0
 
 
@@ -240,7 +241,7 @@ def cmd_marginalize(args) -> int:
     transfer = spectral.transfer_blocks(args.model, args.grid)
     deficit = marginal.innovation_whiteness_check(args.model, args.pair, rep, transfer)
     if args.out is not None:
-        _write_json(args.out, "marginal.json", _marginal_doc(rep, deficit))
+        _write_json(args, "marginal.json", _marginal_doc(rep, deficit))
     print(f"pair {args.pair.target + 1}<-{args.pair.source + 1}")
     print(f"order_used: {rep.order_used}  converged: {rep.convergence.converged}")
     print(f"innov_cov:\n{rep.innov_cov}")
@@ -253,9 +254,9 @@ def cmd_marginalize(args) -> int:
 def cmd_granger(args) -> int:
     report = causality.full_report(args.model, args.grid, q_max=args.qmax, tol=args.tol)
     if args.out is not None:
-        _write_json(args.out, "report.json", _report_doc(report))
+        _write_json(args, "report.json", _report_doc(report))
     if args.json:
-        _write_json(None, "report.json", _report_doc(report))
+        print(canonical_json(_report_doc(report)), end="")
     else:
         print(_report_table(report))
     return 0
@@ -265,14 +266,14 @@ def cmd_moments(args) -> int:
     seq = moments.autocov(args.model, maxlag=args.maxlag)
     d = seq.dim
     header = ["lag"] + [f"g_{j}_{k}" for j in range(1, d + 1) for k in range(1, d + 1)]
-    with _output(args.out, "moments.csv") as fh:
+    with _output(args, "moments.csv") as fh:
         write_csv(fh, header, np.arange(seq.maxlag + 1), seq.gammas.reshape(-1, d * d))
     return 0
 
 
 def cmd_simulate(args) -> int:
     traj = estimate.simulate(args.model, args.length, args.seed, burn_in=args.burn_in)
-    with _output(args.out, "trajectory.csv") as fh:
+    with _output(args, "trajectory.csv") as fh:
         estimate.write_trajectory(traj, fh)
     print(f"wrote {traj.length} samples of {traj.dim} channels (seed {traj.seed})")
     return 0
@@ -284,8 +285,8 @@ def cmd_fit(args) -> int:
     fit = estimate.fit_var(traj, args.order)
     white = estimate.residual_whiteness(fit, maxlag=args.maxlag)
     if args.out is not None:
-        _write_json(args.out, "fitted_model.json", fit.model.to_dict())
-        _write_json(args.out, "fit_diagnostics.json", {
+        _write_json(args, "fitted_model.json", fit.model.to_dict())
+        _write_json(args, "fit_diagnostics.json", {
             "stderr": fit.stderr.tolist(),
             "nobs": fit.nobs,
             "portmanteau": {"statistic": white.statistic, "df": white.df, "p_value": white.p_value},
@@ -372,7 +373,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_resolve(args))
+        with contextlib.ExitStack() as args.written:  # the files written, removed on failure
+            return args.func(_resolve(args))
     except NumericalError as exc:
         # One line: the message, then a NotConverged's tail diagnostics at each order tried.
         tried = exc.diagnostics if isinstance(exc, NotConverged) else {}

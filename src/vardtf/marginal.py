@@ -37,8 +37,8 @@ from .exceptions import (
 )
 from .model import ChannelPair, VarModel
 from .moments import AutocovSequence, _inverse, _mul, block_toeplitz
-from .reduction import whiteness_deficit
-from .spectral import FrequencyMatrix, _join, density_from_transfer, lag_polynomial, matrix_blocks
+from .reduction import _pair_residual, whiteness_deficit
+from .spectral import lag_polynomial
 
 #: Eigenvalue floor below which an innovation covariance is declared broken.
 INNOV_PSD_FLOOR = -1e-8
@@ -306,23 +306,17 @@ def innovation_whiteness_check(
 ) -> float:
     """Whiteness deficit of the residual spectrum implied by a representation.
 
-    Filters the pair's rows H_S. of the model's transfer function by the
-    representation's polynomial Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda),
-    entry by entry as the recursion multiplies, so that (b, a) gets (a, b)'s
-    deficit bit for bit: the residual is Phi H_S. E, whose spectrum is the
-    density of Phi H_S. on the grid of ``transfer`` (H whole or as
-    ``spectral.transfer_blocks``, filtered one block at a time). If the
-    representation is the true projection, that is the constant V / 2 pi and
-    the deficit is numerically zero; a truncated or otherwise invalid
-    representation leaves frequency structure behind and scores a large deficit.
+    The residual Phi H_S. E is the pair's rows of H (whole or as ``transfer_blocks``)
+    filtered by Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda) in ``reduction``'s pair
+    residual body, so (b, a) gets (a, b)'s deficit bit for bit. The true projection leaves
+    the constant spectrum V / 2 pi, a deficit of numerically zero; a truncated or otherwise
+    invalid representation leaves frequency structure behind and a large deficit.
     """
     if rep.pair is not None and rep.pair != pair:
         raise ShapeMismatch("representation was computed for a different pair")
     pair.check_dim(model.dim)
 
-    def residual_density(h: FrequencyMatrix) -> FrequencyMatrix:  # on one block of H
-        phi = lag_polynomial(rep.phis, h.grid).values
-        filtered = FrequencyMatrix(h.grid, _mul(phi, h.values[:, list(pair.channels)]))
-        return density_from_transfer(filtered, model.sigma)
+    def phi(block) -> np.ndarray:  # Phi(lambda) on one block's grid
+        return lag_polynomial(rep.phis, block.grid).values
 
-    return whiteness_deficit(_join(list(map(residual_density, matrix_blocks(transfer)))))
+    return whiteness_deficit(_pair_residual(model, pair, transfer, phi)[1])

@@ -9,9 +9,9 @@ acting on the retained channels S, driven by the error process
 
     E'(lambda) = E_S(lambda) - A_SR(lambda) A_RR(lambda)^-1 E_R(lambda).
 
-Both are read off the transfer function H = A^-1: G is the Schur
-complement of A_RR, so G = H_SS^-1, and E' = G X_S = G H_S. E, both formed
-by the marginal recursion's 2x2 kernel, so (b, a) gets (a, b)'s swap.
+Both are read off the transfer function H = A^-1: G is the Schur complement of
+A_RR, so G = H_SS^-1, and E' = G X_S = G H_S. E, by the one body that also filters
+H_S. by :mod:`vardtf.marginal`'s Phi(lambda), with a 2x2 kernel exact under a swap.
 
 E' is generally NOT white: its spectral matrix depends on frequency, so G is
 not a valid autoregressive representation of the subprocess and causal
@@ -88,13 +88,11 @@ def reduced_polynomial(
 def error_spectral_matrix(
     model: VarModel, pair: ChannelPair, grid: FrequencyGrid
 ) -> FrequencyMatrix:
-    """Spectral density of the reduction's error process e'(t).
+    """Spectral density of the reduction's error process e'(t) (see ``reduce_pair``).
 
-    e' = G H_S. E with G = H_SS^-1, so f is the density of G H_S. driven by
-    Sigma (see ``reduce_pair``). When the pair receives no input from the
-    other channels (A_SR identically zero) this is the constant
-    Sigma_SS / 2 pi, i.e. e' is white; otherwise it generally varies with
-    frequency.
+    When the pair receives no input from the other channels (A_SR identically zero)
+    this is the constant Sigma_SS / 2 pi, i.e. e' is white; otherwise it generally
+    varies with frequency.
     """
     return reduce_pair(model, pair, transfer_blocks(model, grid)).error_spectrum
 
@@ -102,10 +100,9 @@ def error_spectral_matrix(
 def reduce_pair(model: VarModel, pair: ChannelPair, transfer) -> ReducedRepresentation:
     """Reduced polynomial and error spectrum for a pair, from the model's H.
 
-    ``transfer`` is the model's H(lambda) on the grid of the result, whole or as
-    ``spectral.transfer_blocks``, read one block at a time. The retained rows satisfy
-    X_S = H_S. E, and the Schur complement G is the inverse of the 2x2 block H_SS,
-    so the error is E' = G X_S = G H_S. E, whose spectrum is the density of G H_S. .
+    ``transfer`` is the model's H(lambda), whole or as ``spectral.transfer_blocks``. The
+    retained rows satisfy X_S = H_S. E and the Schur complement G is H_SS^-1, so the error
+    E' = G X_S = G H_S. E has the density of G H_S. (``_pair_residual`` with filter G).
 
     Raises
     ------
@@ -115,20 +112,29 @@ def reduce_pair(model: VarModel, pair: ChannelPair, transfer) -> ReducedRepresen
     SpectrumOverflow
         Where the error spectrum leaves the double range.
     """
-    retained = _split_indices(model.dim, pair)
+    _split_indices(model.dim, pair)
     detail = "transfer-function block H_SS; the removed block A_RR is singular"
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def reduce_block(h: FrequencyMatrix) -> tuple:  # (G, error spectrum) on one block of H
-        rows = h.values[:, retained]
-        block = rows[:, :, retained]
-        g = _inverse(block)[0]
-        spectral._refuse(_frobenius(_mul(g, block) - np.eye(2)), h.grid, detail)
-        error = spectral.density_from_transfer(FrequencyMatrix(h.grid, _mul(g, rows)), model.sigma)
-        return FrequencyMatrix(h.grid, g), error
+    def schur(block: FrequencyMatrix) -> np.ndarray:  # G = H_SS^-1, gated as an inverse
+        g = _inverse(block.values)[0]
+        spectral._refuse(_frobenius(_mul(g, block.values) - np.eye(2)), block.grid, detail)
+        return g
 
-    poly, error = zip(*map(reduce_block, matrix_blocks(transfer)))
-    return ReducedRepresentation(pair, _join(poly), _join(error))
+    return ReducedRepresentation(pair, *_pair_residual(model, pair, transfer, schur))
+
+
+def _pair_residual(model: VarModel, pair: ChannelPair, transfer, pair_filter) -> tuple:
+    """(F, f) on the grid of ``transfer``, block by block: F = ``pair_filter`` of the pair's
+    H_SS (a FrequencyMatrix) and f the density of F H_S. driven by Sigma, whose product is
+    entry by entry (``_mul``), so the swapped pair and filter get the swapped (F, f)."""
+    @np.errstate(over="ignore", invalid="ignore")
+    def residual(h: FrequencyMatrix) -> tuple:  # (F, f) on one block of H
+        rows = h.values[:, pair.channels]
+        filt = pair_filter(FrequencyMatrix(h.grid, rows[:, :, pair.channels]))
+        f = spectral.density_from_transfer(FrequencyMatrix(h.grid, _mul(filt, rows)), model.sigma)
+        return FrequencyMatrix(h.grid, filt), f
+
+    return tuple(map(_join, zip(*map(residual, matrix_blocks(transfer)))))
 
 
 def whiteness_deficit(spectrum: FrequencyMatrix) -> float:

@@ -377,8 +377,8 @@ class TestOtherCommands:
 @pytest.mark.parametrize(
     "command,extra",
     [("counterexample", ()), ("analyze", ()), ("reduce", ("--pair", "1,2")),
-     ("marginalize", ("--pair", "1,2"))],
-    ids=["counterexample", "analyze", "reduce", "marginalize"],
+     ("marginalize", ("--pair", "1,2")), ("granger", ()), ("dtf", ())],
+    ids=["counterexample", "analyze", "reduce", "marginalize", "granger", "dtf"],
 )
 def test_one_transfer_function_per_command(command, extra, tmp_path, monkeypatch):
     # one A(lambda), inverted once: the DTF, the density, the reduction and
@@ -399,6 +399,41 @@ def test_one_transfer_function_per_command(command, extra, tmp_path, monkeypatch
     argv = ("--alpha", 1, "--beta", 1, "--grid", 65, "--out", tmp_path / "out", *extra)
     assert run(command, *argv) == 0
     assert sorted(calls) == [("char_polynomial", 65), ("transfer_function", 65)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counterexample", "--alpha", 1e160, "--beta", 1),
+        ("counterexample", "--alpha", 1e120, "--beta", 1e120),
+        ("analyze", "--alpha", 1e160, "--beta", 1),
+    ],
+    ids=["counterexample-overflow", "counterexample-breakdown", "analyze-overflow"],
+)
+def test_a_failed_command_leaves_no_file(argv, tmp_path, capsys):
+    # each fails after writing whole files: the transfer function, then (breakdown of
+    # the 1<-2 marginal at order 1) the reduction's three, or analyze's report.json;
+    # every file the command wrote goes, not only one whose own write fails
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error[numerical]: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("fs", ["1e308", "1e-310", "1e-320", 3, 200])
+def test_a_rate_without_a_band_gives_the_whole_radian_grid(fs, capsys):
+    # [0, fs/2] Hz is [0, pi] rad at any rate, with no 2 pi fs/2 to overflow or underflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("dtf", "--alpha", 1, "--beta", 1, "--fs", fs, "--grid", 5) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    lams = np.array([float(row.split(",")[0]) for row in rows])
+    assert lams[-1] == np.pi
+    assert np.array_equal(lams, spectral.default_grid(5).points)
 
 
 def test_singular_removed_block_is_numerical_error(tmp_path, capsys):
