@@ -16,12 +16,12 @@ multivariate causal link. Such pairs carry a contradiction flag. All
 verdicts are computed from the known model, never from data, because the
 question is about the measures themselves rather than estimation error.
 
-A report makes one transfer-function evaluation and one call of
+A report makes one walk of the transfer function's blocks and one call of
 ``marginal.marginal_representations`` (one autocovariance solve, one
 batched recursion over the unordered pairs) per model, and only assembles
-the verdicts. It keeps H, and each pair's representation (or the error that
-replaced it) on the verdict, so callers reuse them instead of computing
-them again.
+the verdicts. It keeps H's blocks, and each pair's representation (or the
+error that replaced it) on the verdict, so callers reuse them instead of
+computing them again.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .marginal import (
 )
 from .model import ChannelPair, VarModel
 from .moments import _frobenius
-from .spectral import FrequencyGrid, FrequencyMatrix, default_grid, dtf_from_transfer, matrix_blocks
+from .spectral import FrequencyGrid, default_grid, dtf_from_transfer
 
 #: Absolute threshold on normalized DTF below which a pair's DTF is "zero";
 #: structural zeros compute to machine epsilon, orders of magnitude lower.
@@ -84,13 +84,13 @@ class PairVerdict:
 class CausalityReport:
     """Per-pair verdicts for every ordered channel pair, sorted by (target, source).
 
-    ``transfer`` is the transfer function the DTF verdicts were read from;
-    it is left out of comparisons.
+    ``transfer`` is the transfer function the DTF verdicts were read from, as the tuple of
+    its ``spectral.transfer_blocks``; it is left out of comparisons.
     """
 
     dim: int
     pairs: tuple
-    transfer: FrequencyMatrix | None = field(default=None, compare=False, repr=False)
+    transfer: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def contradictions(self) -> tuple:
@@ -155,8 +155,8 @@ def full_report(
     marginals = marginal_representations(model, pairs, q_max, tol)
     if grid is None:
         grid = default_grid()
-    transfer = spectral.transfer_function(model, grid)
-    dtf_max = np.max([dtf_from_transfer(h).max(axis=0) for h in matrix_blocks(transfer)], axis=0)
+    transfer = tuple(spectral.transfer_blocks(model, grid))
+    dtf_max = np.max([dtf_from_transfer(h).max(axis=0) for h in transfer], axis=0)
     verdicts = []
     for pair, result in zip(pairs, marginals):
         max_dtf = float(dtf_max[pair.target, pair.source])

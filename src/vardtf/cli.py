@@ -69,7 +69,7 @@ def _make_grid(args) -> spectral.FrequencyGrid:
     if len(parts) != 2:
         raise ValueError(f"--band expects 'LO,HI' in Hz, got '{args.band}'")
     lo, hi = float(parts[0]), float(parts[1])
-    if not 0.0 <= lo < hi <= fs / 2.0 + 1e-12:
+    if not 0.0 <= lo < hi <= fs / 2.0:
         raise ValueError("--band must satisfy 0 <= LO < HI <= fs/2")
     return spectral.default_grid(count, 2.0 * np.pi * (lo / fs), 2.0 * np.pi * (hi / fs))
 
@@ -174,7 +174,7 @@ def cmd_counterexample(args) -> int:
     model, grid = args.model, args.grid
     pair = ChannelPair(target=0, source=1)
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
-    _write_csv(args, "transfer_function.csv", [report.transfer])
+    _write_csv(args, "transfer_function.csv", report.transfer)
     deficit, _ = _write_reduction(args, reduction.reduce_pair(model, pair, report.transfer))
     verdict = next(v for v in report.pairs if (v.target, v.source) == pair.channels)
     if verdict.failure is not None:
@@ -197,7 +197,7 @@ def cmd_analyze(args) -> int:
     model, grid = args.model, args.grid
     report = causality.full_report(model, grid, q_max=args.qmax, tol=args.tol)
     _write_json(args, "report.json", _report_doc(report))
-    h_blocks = list(spectral.matrix_blocks(report.transfer))  # views of H
+    h_blocks = report.transfer
     density = (spectral.density_from_transfer(h, model.sigma) for h in h_blocks)
     _write_csv(args, "spectral_density.csv", density)
     dtf = (spectral.dtf_from_transfer(h, normalized=not args.raw) for h in h_blocks)

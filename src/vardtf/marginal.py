@@ -38,7 +38,7 @@ from .exceptions import (
 from .model import ChannelPair, VarModel
 from .moments import AutocovSequence, _inverse, _mul, block_toeplitz
 from .reduction import _pair_residual, whiteness_deficit
-from .spectral import lag_polynomial
+from .spectral import _join, lag_polynomial
 
 #: Eigenvalue floor below which an innovation covariance is declared broken.
 INNOV_PSD_FLOOR = -1e-8
@@ -319,4 +319,4 @@ def innovation_whiteness_check(
     def phi(block) -> np.ndarray:  # Phi(lambda) on one block's grid
         return lag_polynomial(rep.phis, block.grid).values
 
-    return whiteness_deficit(_pair_residual(model, pair, transfer, phi)[1])
+    return whiteness_deficit(_join([f for _, f in _pair_residual(model, pair, transfer, phi)]))

@@ -100,7 +100,7 @@ def error_spectral_matrix(
 def reduce_pair(model: VarModel, pair: ChannelPair, transfer) -> ReducedRepresentation:
     """Reduced polynomial and error spectrum for a pair, from the model's H.
 
-    ``transfer`` is the model's H(lambda), whole or as ``spectral.transfer_blocks``. The
+    ``transfer`` is the model's H(lambda), whole or as its blocks (``transfer_blocks``). The
     retained rows satisfy X_S = H_S. E and the Schur complement G is H_SS^-1, so the error
     E' = G X_S = G H_S. E has the density of G H_S. (``_pair_residual`` with filter G).
 
@@ -120,13 +120,14 @@ def reduce_pair(model: VarModel, pair: ChannelPair, transfer) -> ReducedRepresen
         spectral._refuse(_frobenius(_mul(g, block.values) - np.eye(2)), block.grid, detail)
         return g
 
-    return ReducedRepresentation(pair, *_pair_residual(model, pair, transfer, schur))
+    blocks = _pair_residual(model, pair, transfer, schur)
+    return ReducedRepresentation(pair, *map(_join, zip(*blocks)))
 
 
-def _pair_residual(model: VarModel, pair: ChannelPair, transfer, pair_filter) -> tuple:
-    """(F, f) on the grid of ``transfer``, block by block: F = ``pair_filter`` of the pair's
-    H_SS (a FrequencyMatrix) and f the density of F H_S. driven by Sigma, whose product is
-    entry by entry (``_mul``), so the swapped pair and filter get the swapped (F, f)."""
+def _pair_residual(model: VarModel, pair: ChannelPair, transfer, pair_filter):
+    """(F, f) on each block of ``transfer`` in order: F = ``pair_filter`` of the pair's H_SS
+    (a FrequencyMatrix) and f the density of F H_S. driven by Sigma, whose product is entry
+    by entry (``_mul``), so the swapped pair and filter get the swapped (F, f)."""
     @np.errstate(over="ignore", invalid="ignore")
     def residual(h: FrequencyMatrix) -> tuple:  # (F, f) on one block of H
         rows = h.values[:, pair.channels]
@@ -134,7 +135,7 @@ def _pair_residual(model: VarModel, pair: ChannelPair, transfer, pair_filter) ->
         f = spectral.density_from_transfer(FrequencyMatrix(h.grid, _mul(filt, rows)), model.sigma)
         return FrequencyMatrix(h.grid, filt), f
 
-    return tuple(map(_join, zip(*map(residual, matrix_blocks(transfer)))))
+    return map(residual, matrix_blocks(transfer))
 
 
 def whiteness_deficit(spectrum: FrequencyMatrix) -> float:

@@ -13,10 +13,11 @@ function built from |H_jk|^2.
 Grids are walked one ``grid_blocks`` block at a time. A walk of several blocks
 may have a helper thread beside the caller (numpy's inversions and CSV writes
 release the GIL): H of a model of at least PAIR_MIN_DIM channels is computed two
-blocks at a time, and a table of several blocks is written one block behind the
-caller. Each such walk makes its own helper, whose thread has ended once the
-walk finishes, fails or is dropped; a walk or table of one block makes none.
-Every block goes through the same numpy calls, so results keep their bits.
+blocks at a time, and a table of several blocks still being computed is written
+one block behind the caller. Each such walk makes its own helper, whose thread
+has ended once the walk finishes, fails or is dropped; a walk of one block, or a
+table of blocks already held, makes none. Every block goes through the same
+numpy calls, so results keep their bits.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def grid_blocks(grid: FrequencyGrid):
 
 def matrix_blocks(fm):
     """``fm`` on each ``grid_blocks`` block of its grid, in order, as views of its values;
-    blocks already cut (``transfer_blocks``) pass straight through."""
+    blocks already cut (``transfer_blocks``, a report's ``transfer``) pass straight through."""
     if not isinstance(fm, FrequencyMatrix):
         return fm
     return map(FrequencyMatrix, grid_blocks(fm.grid), _cut(fm.values))
@@ -188,8 +189,9 @@ def char_polynomial(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
 def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
     """Transfer function H(lambda) = A(lambda)^-1 on the grid.
 
-    A(lambda) is built, inverted (pivoted LU) and gated into H one ``grid_blocks`` block
-    at a time, or two at a time (``_walk``).
+    On a grid of one ``grid_blocks`` block this is ``invert_pointwise`` of A(lambda). A
+    larger grid's H is one array filled from ``transfer_blocks``, which the commands read
+    instead, block by block.
 
     Raises
     ------
@@ -197,13 +199,11 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
         At the first grid point where A(lambda) is singular or the inversion
         residual reaches the tolerance; this signals a model too close to the unit circle.
     """
+    if len(grid) <= RESIDUAL_CHUNK:
+        return invert_pointwise(char_polynomial(model, grid))
     values = np.empty((len(grid), model.dim, model.dim), dtype=complex)
-
-    def invert(block: FrequencyGrid, out: np.ndarray) -> None:
-        _invert_into(out, char_polynomial(model, block))
-
-    for _ in _walk(model, grid)(invert, grid_blocks(grid), _cut(values)):
-        pass
+    for out, block in zip(_cut(values), transfer_blocks(model, grid)):
+        out[...] = block.values
     return FrequencyMatrix(grid=grid, values=values)
 
 
@@ -215,7 +215,7 @@ def transfer_blocks(model: VarModel, grid: FrequencyGrid):
 
 
 def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:
-    """Inverse of a square FrequencyMatrix at every grid point.
+    """Inverse of a square FrequencyMatrix at every grid point, the one inverse and gate.
 
     All of ``fm`` is inverted and gated at once (cut a large grid with ``grid_blocks``);
     with a singular point it is inverted point by point, leaving NaN at each singular one.
@@ -226,14 +226,6 @@ def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:
         At the first grid point where the residual ||inv A - I||_F is not
         below 1e-10 (a singular point's reads nan).
     """
-    out = np.empty(fm.values.shape, dtype=complex)
-    _invert_into(out, fm)
-    return FrequencyMatrix(grid=fm.grid, values=out)
-
-
-def _invert_into(out: np.ndarray, fm: FrequencyMatrix) -> None:
-    """``invert_pointwise`` of ``fm`` written into ``out``, which first holds the residual
-    X A - I: its norm is taken in place, so the gate allocates no block-sized temporary."""
     values = fm.values
     try:
         inv = np.linalg.inv(values)
@@ -244,12 +236,11 @@ def _invert_into(out: np.ndarray, fm: FrequencyMatrix) -> None:
                 inv[m] = np.linalg.inv(values[m])
             except np.linalg.LinAlgError:
                 pass
-    n, d = values.shape[:2]
-    np.matmul(inv, values, out=out)
-    out.reshape(n, d * d)[:, :: d + 1] -= 1.0
-    cells = out.reshape(n, -1).view(float)
+    residual = (inv @ values).reshape(len(values), -1)  # X A - I, one row per point
+    residual[:, :: values.shape[1] + 1] -= 1.0
+    cells = residual.view(float)
     _refuse(np.sqrt(np.einsum("ij,ij->i", cells, cells)), fm.grid)
-    out[...] = inv
+    return FrequencyMatrix(grid=fm.grid, values=inv)
 
 
 def _refuse(residual: np.ndarray, grid: FrequencyGrid, detail: str = "") -> None:
@@ -350,11 +341,16 @@ def frequency_matrix_to_csv(fm: FrequencyMatrix, fh, header: bool = True) -> Non
 
 
 def frequency_table_to_csv(blocks, fh) -> None:
-    """Write consecutive blocks of one grid (``blocks`` may be lazy) as one CSV table. The
-    first, with the header, is written in the caller. A second block starts a helper, which
-    writes it and each later block while the caller computes the next, once the one before
-    is written. A failed write is raised here, ahead of a failure computing the next block,
-    and every write has ended, with the helper's thread, when this returns or raises."""
+    """Write consecutive blocks of one grid as one CSV table. Blocks already held (a list or
+    tuple) are written in the caller. Of lazy ``blocks`` the first, with the header, is
+    written in the caller, and a second starts a helper, which writes it and each later
+    block while the caller computes the next, once the one before is written. A failed
+    write is raised here, ahead of a failure computing the next block, and every write has
+    ended, with the helper's thread, when this returns or raises."""
+    if isinstance(blocks, (list, tuple)):
+        for m, fm in enumerate(blocks):
+            frequency_matrix_to_csv(fm, fh, m == 0)
+        return
     blocks = iter(blocks)
     for fm in itertools.islice(blocks, 1):
         frequency_matrix_to_csv(fm, fh)

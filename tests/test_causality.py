@@ -19,7 +19,7 @@ from vardtf import (
 from vardtf import moments
 from vardtf.causality import GC_REL_THRESHOLD
 from vardtf.exceptions import NoConvergence, NotConverged, ShapeMismatch, SingularToeplitz
-from vardtf.spectral import dtf_from_transfer
+from vardtf.spectral import dtf_from_transfer, transfer_blocks
 
 from helpers import block_diagonal_model, dense_stable_model, random_stable_model
 
@@ -241,11 +241,17 @@ class TestFullReport:
         assert calls == [64]
 
     def test_report_carries_its_transfer_function(self):
+        # H as the tuple of the walk's blocks, which join to transfer_function bit for bit
         m = random_stable_model(2, dim=3, order=2)
-        grid = default_grid(65)
+        grid = default_grid(1025)
         report = full_report(m, grid)
-        assert np.array_equal(report.transfer.values, transfer_function(m, grid).values)
-        norm = dtf_from_transfer(report.transfer)
+        assert isinstance(report.transfer, tuple) and len(report.transfer) == 3
+        for held, block in zip(report.transfer, transfer_blocks(m, grid), strict=True):
+            assert np.array_equal(held.grid.points, block.grid.points)
+            assert np.array_equal(held.values, block.values)
+        joined = np.concatenate([h.values for h in report.transfer])
+        assert np.array_equal(joined, transfer_function(m, grid).values)
+        norm = np.concatenate([dtf_from_transfer(h) for h in report.transfer])
         for v in report.pairs:
             assert v.max_dtf == float(np.max(norm[:, v.target, v.source]))
         # the array is left out of comparisons

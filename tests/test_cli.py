@@ -722,6 +722,21 @@ def test_band_needs_two_values(capsys):
     assert "--band expects 'LO,HI'" in _usage_error_line(capsys)
 
 
+@pytest.mark.parametrize("fs,band", [(1, "0,0.5000000000009"), ("1e-300", "0,1e-12")])
+def test_a_band_past_half_the_rate_is_refused_in_hz(fs, band, capsys):
+    # HI is checked against fs/2 with no slack, so no band past it reaches the radian check
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--fs", fs, "--band", band) == 2
+    assert "--band must satisfy 0 <= LO < HI <= fs/2" in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize("fs", [1, 3, 7.3, 200, "1e-300", "1e300"])
+def test_a_band_ending_at_half_the_rate_ends_at_pi(fs, capsys):
+    band = f"0,{float(fs) / 2!r}"
+    assert run("dtf", "--alpha", 1, "--beta", 1, "--fs", fs, "--band", band, "--grid", 5) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert float(rows[-1].split(",")[0]) == np.pi
+
+
 def test_counterexample_pair_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
     # the 1<-2 representation is exactly VAR(1), so no --tol can fail it;
     # a stalled autocovariance solve does

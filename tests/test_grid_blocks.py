@@ -2,9 +2,9 @@
 
 ``dtf``, ``reduce`` and ``marginalize`` hold no whole-grid transfer function
 (the pair readers take ``transfer_blocks``); ``analyze``, ``granger`` and
-``counterexample`` hold only H whole, built block by block, and read it by
-blocks. Their outputs equal the whole-grid computation byte for byte across
-block boundaries, a failure after some blocks leaves no partial file and
+``counterexample`` hold only H, as the tuple of its blocks, each inverted once
+and never copied. Their outputs equal the whole-grid computation byte for byte
+across block boundaries, a failure after some blocks leaves no partial file and
 names the first bad frequency, overflow is a named numerical failure, and
 allocation peaks stay bounded: ``dtf``, ``reduce`` and ``marginalize`` below
 half of one whole-grid H, ``analyze`` (at the default ``--qmax`` too) and
@@ -12,15 +12,17 @@ half of one whole-grid H, ``analyze`` (at the default ``--qmax`` too) and
 
 For a model of at least ``PAIR_MIN_DIM`` channels the walks of
 ``transfer_function`` and ``transfer_blocks`` run blocks in pairs, one in the
-caller and one on the walk's helper thread, and a table of several blocks is
-written on the helper one block behind: a failure names the earlier bad block of
-a pair and starts no later block, every block sees the caller's ``np.errstate``,
-a failed write is one ``error[io]`` line raised ahead of a failure computing the
+caller and one on the walk's helper thread, and a table of several blocks still
+being computed is written on the helper one block behind, while blocks already
+held are written in the caller: a failure names the earlier bad block of a pair
+and starts no later block, every block sees the caller's ``np.errstate``, a
+failed write is one ``error[io]`` line raised ahead of a failure computing the
 next block, neither a grid of one block nor a smaller model starts a helper or
 imports its pool, no helper thread outlives its walk, whether the walk ends,
 fails or is dropped, and a forked child walks with a helper of its own.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -472,6 +474,7 @@ for code, argv in [
     (0, ("dtf", *large, "--out", {out!r})),
     (0, ("reduce", *large, "--pair", "1,2", "--out", {out!r})),
     (0, ("reduce", *small, "--pair", "1,2", "--grid", "16385", "--out", {out!r})),
+    (0, ("counterexample", *small, "--grid", "16385", "--out", {out!r})),
     (0, ("reduce", *large, "--pair", "1,2", "--grid", "16385", "--out", {out!r})),
     (0, ("dtf", *small, "--grid", "16385", "--out", {out!r})),
     (1, ("reduce", "--model", {bad!r}, "--pair", "1,2", "--grid", "2049", "--out", {out!r})),
@@ -490,10 +493,34 @@ for code, argv in [
         "@dtf False False 1",
         "@reduce False False 1",
         "@reduce False False 1",
+        "@counterexample False False 1",
         "@reduce True True 1",
         "@dtf True True 1",
         "@reduce True True 1",
     ]
+
+
+def test_held_blocks_are_written_in_the_caller(monkeypatch):
+    # a tuple of several blocks is written with no helper, and gives the bytes of the
+    # same blocks given lazily, whose later writes run on the helper
+    real, threads = spectral.frequency_matrix_to_csv, []
+
+    def frequency_matrix_to_csv(*args):  # as the write-behind calls it: positionally
+        threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "frequency_matrix_to_csv", frequency_matrix_to_csv)
+    held = tuple(spectral.transfer_blocks(counterexample_model(1, 1), PAIRED_GRID))
+    tables = {}
+    for name, blocks in [("held", held), ("lazy", iter(held))]:
+        threads.clear()
+        fh = io.StringIO()
+        spectral.frequency_table_to_csv(blocks, fh)
+        tables[name] = fh.getvalue()
+        callers = [thread is threading.current_thread() for thread in threads]
+        assert callers == ([True] * 5 if name == "held" else [True] + [False] * 4)
+    assert tables["held"] == tables["lazy"]
+    assert _helper_threads() == []
 
 
 def test_a_dropped_walk_waits_for_the_helpers_block_and_leaves_no_thread(monkeypatch):

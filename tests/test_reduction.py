@@ -27,6 +27,7 @@ from vardtf.reduction import ReducedRepresentation, _pair_residual, whiteness
 from vardtf.spectral import (
     FrequencyGrid,
     FrequencyMatrix,
+    _join,
     lag_polynomial,
     spectral_density,
     transfer_blocks,
@@ -403,8 +404,9 @@ def test_pair_residual_contract(seed, dim, order, radius, data):
     phis = np.random.default_rng(seed).standard_normal((data.draw(st.integers(0, 3)), 2, 2))
     swap = (slice(None), slice(None, None, -1), slice(None, None, -1))
 
-    def residual(pair, transfer, pair_filter) -> list:
-        return [fm.values for fm in _pair_residual(m, pair, transfer, pair_filter)]
+    def residual(pair, transfer, pair_filter) -> list:  # the yielded blocks' (F, f), joined
+        blocks = zip(*_pair_residual(m, pair, transfer, pair_filter))
+        return [_join(fms).values for fms in blocks]
 
     def identity(block):
         return np.broadcast_to(np.eye(2, dtype=complex), block.values.shape)
