@@ -148,14 +148,14 @@ def _write_reduction(args, red: reduction.ReducedRepresentation) -> tuple:
     return deficit, white
 
 
-def _marginal_doc(rep, deficit: float) -> dict:
-    """A pair's representation, with its residual whiteness deficit, as JSON."""
+def _marginal_doc(rep, deficit: float, cond: float) -> dict:
+    """A pair's representation, with its residual whiteness deficit and Toeplitz condition."""
     return {
         "order_used": rep.order_used,
         "phis": rep.phis.tolist(),
         "innov_cov": rep.innov_cov.tolist(),
         "convergence": dataclasses.asdict(rep.convergence),
-        "toeplitz_cond": rep.toeplitz_cond,
+        "toeplitz_cond": cond,
         "whiteness_deficit": deficit,
         "pair": _pair_doc(rep.pair),
     }
@@ -181,7 +181,7 @@ def cmd_counterexample(args) -> int:
         raise verdict.failure
     rep = verdict.marginal
     rep_deficit = marginal.innovation_whiteness_check(model, pair, rep, report.transfer)
-    _write_json(args, "marginal.json", _marginal_doc(rep, rep_deficit))
+    _write_json(args, "marginal.json", _marginal_doc(rep, rep_deficit, rep.toeplitz_cond))
     _write_json(args, "report.json", _report_doc(report))
 
     print(f"alpha={args.alpha:g} beta={args.beta:g}")
@@ -203,19 +203,18 @@ def cmd_analyze(args) -> int:
     dtf = (spectral.dtf_from_transfer(h, normalized=not args.raw) for h in h_blocks)
     _write_csv(args, "dtf.csv", map(spectral.FrequencyMatrix, (h.grid for h in h_blocks), dtf))
 
-    # (b, a)'s residual deficit is (a, b)'s, bit for bit: one check per unordered pair
-    marginals, deficits = {}, {}
+    # (b, a)'s residual deficit and condition number are (a, b)'s: once per unordered pair
+    marginals, taken = {}, {}
     for v in report.pairs:
         rep = v.marginal
         if rep is None:
             marginals[_pair_label(v)] = _failure_doc(v.failure)
             continue
         key = frozenset(rep.pair.channels)
-        if key not in deficits:
-            deficits[key] = marginal.innovation_whiteness_check(
-                model, rep.pair, rep, report.transfer
-            )
-        marginals[_pair_label(v)] = _marginal_doc(rep, deficits[key])
+        if key not in taken:
+            deficit = marginal.innovation_whiteness_check(model, rep.pair, rep, report.transfer)
+            taken[key] = deficit, rep.toeplitz_cond
+        marginals[_pair_label(v)] = _marginal_doc(rep, *taken[key])
     _write_json(args, "marginals.json", marginals)
 
     print(_report_table(report))
@@ -241,7 +240,7 @@ def cmd_marginalize(args) -> int:
     transfer = spectral.transfer_blocks(args.model, args.grid)
     deficit = marginal.innovation_whiteness_check(args.model, args.pair, rep, transfer)
     if args.out is not None:
-        _write_json(args, "marginal.json", _marginal_doc(rep, deficit))
+        _write_json(args, "marginal.json", _marginal_doc(rep, deficit, rep.toeplitz_cond))
     print(f"pair {args.pair.target + 1}<-{args.pair.source + 1}")
     print(f"order_used: {rep.order_used}  converged: {rep.convergence.converged}")
     print(f"innov_cov:\n{rep.innov_cov}")

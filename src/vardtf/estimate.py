@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exceptions import RankDeficientRegressors, ShapeMismatch, SingularToeplitz, Unstable, UnstableFit
 from .jsonio import read_csv, write_csv
 from .model import VarModel, companion_matrix
-from .moments import AutocovSequence, _scaled
+from .moments import AutocovSequence, _scaled, block_toeplitz
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,11 +193,7 @@ def _lag_moments(samples: np.ndarray, order: int) -> np.ndarray:
     """
     t_len, d = samples.shape
     n = (order + 1) * d
-    sums = _lag_sums(samples, order)
-    # table[order + h] = F[h] and table[order - h] = F[h]^T
-    table = np.concatenate([sums[:0:-1].transpose(0, 2, 1), sums])
-    lags = np.arange(order + 1)
-    full = table[order + lags - lags[:, None]].transpose(0, 2, 1, 3).reshape(n, n)
+    full = block_toeplitz(AutocovSequence(_lag_sums(samples, order)))
     zeros = np.zeros((order, d))
     padded = np.stack([np.vstack([zeros, samples[:order]]), np.vstack([samples[t_len - order :], zeros])])
     # row (k, i) of edge is z(t) = [padded[k, order + i], .., padded[k, i]] at a left-out t

@@ -14,10 +14,9 @@ tolerance. ``marginal_representations`` solves a model's autocovariances
 once, stacks the subprocess autocovariances of each unordered pair asked for
 and runs one recursion over the stack, checked for convergence at the orders
 4, 8, ..: each pair leaves the batch at its first converging order, or at
-the order where it fails, and its block-Toeplitz condition number is taken
-only at the order returned. The recursion works entry by entry on 1x1 and
-2x2 blocks (``moments._mul``, ``moments._inverse``) and is exact under a
-channel swap: the pair (b, a) gets the swap of (a, b)'s result, bit for bit.
+the order where it fails. The recursion works entry by entry on 1x1 and 2x2
+blocks (``moments._mul``, ``moments._inverse``) and is exact under a channel
+swap: the pair (b, a) gets the swap of (a, b)'s result, bit for bit.
 """
 
 from __future__ import annotations
@@ -74,26 +73,34 @@ class MarginalAR:
     matrix at lag u, and ``order_used`` is read off it; row/column 0 is the
     pair's target channel and 1 its source channel (positional when ``pair``
     is None, e.g. straight out of the recursion). ``innov_cov`` is the
-    one-step prediction error covariance.
+    one-step prediction error covariance, and ``gammas`` the pair's
+    Gamma(0..max(order_used, 1) - 1), in the same channel order.
     """
 
     pair: ChannelPair | None
     phis: np.ndarray
     innov_cov: np.ndarray
     convergence: ConvergenceInfo
-    toeplitz_cond: float
+    gammas: np.ndarray
 
     def __post_init__(self):
-        phis = np.asarray(self.phis, dtype=float)
-        v = np.asarray(self.innov_cov, dtype=float)
-        phis.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "innov_cov", v)
+        for name in ("phis", "innov_cov", "gammas"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def order_used(self) -> int:
         return self.phis.shape[0]
+
+    @property
+    def toeplitz_cond(self) -> float:
+        """max|eig| / min|eig| of the symmetric PSD block-Toeplitz matrix of ``gammas``: its
+        2-norm condition number. The matrix is built from the lexicographic first of Gamma and
+        its channel swap, so a pair and its swap get the same bits."""
+        gam = min(self.gammas, self.gammas[:, ::-1, ::-1], key=lambda g: g.ravel().tolist())
+        eig = np.abs(np.linalg.eigvalsh(block_toeplitz(AutocovSequence(gam))))
+        return float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
 
 
 def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs) -> list:
@@ -138,15 +145,9 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
 
     def stop(i, tail) -> None:  # the running sequence i stops at this order
         k = active[i]
-        # the block-Toeplitz matrix is symmetric PSD, so its singular values
-        # are its |eigenvalues|: eigvalsh gives the SVD's condition number;
-        # it is taken on the lexicographic first of Gamma and its swap
         gam = gams[k, : max(pred.shape[2], 1)]
-        gam = min(gam, gam[:, ::-1, ::-1], key=lambda g: g.ravel().tolist())
-        eig = np.abs(np.linalg.eigvalsh(block_toeplitz(AutocovSequence(gam))))
-        cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
         # copies, not views, so that the batch's arrays can be freed
-        rep = MarginalAR(pairs[k], pred[i, 0].copy(), cov[i, 0].copy(), tail, cond)
+        rep = MarginalAR(pairs[k], pred[i, 0].copy(), cov[i, 0].copy(), tail, gam.copy())
         results[k] = rep if tail.converged else NotConverged(
             f"marginal representation not converged by order {orders[-1]} "
             f"(tail {tail.tail_norm:.3g}, v_delta {tail.v_delta:.3g})",
@@ -240,8 +241,8 @@ def _as_pair(result, pair: ChannelPair):
         return NotConverged(str(result), _as_pair(result.best, pair), result.diagnostics)
     if isinstance(result, VardtfError) or result.pair == pair:
         return result
-    phis, innov_cov = result.phis[:, ::-1, ::-1], result.innov_cov[::-1, ::-1]
-    return replace(result, pair=pair, phis=phis, innov_cov=innov_cov)
+    phis, v, gammas = (x[..., ::-1, ::-1] for x in (result.phis, result.innov_cov, result.gammas))
+    return replace(result, pair=pair, phis=phis, innov_cov=v, gammas=gammas)
 
 
 def marginal_representations(

@@ -277,8 +277,9 @@ class TestFullReport:
         assert calls == []
 
     def test_allocation_stays_small(self):
-        # the condition numbers' Toeplitz matrices go through eigvalsh one at
-        # a time, so the peak stays near the recursion's: about 3.0 MB here
+        # the report takes no block-Toeplitz condition number, and each
+        # representation keeps only its own pair's Gamma(0..q-1) beside its
+        # coefficients, so the peak stays near the recursion's: about 2.2 MB here
         m = random_stable_model(3, dim=12, order=4, radius=0.7)
         tracemalloc.start()
         try:

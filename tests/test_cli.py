@@ -1,5 +1,6 @@
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -132,6 +133,19 @@ class TestAnalyzeCommand:
                 "--out", out,
             ) == 0
             assert canonical_json(entry) == (out / "marginal.json").read_text()
+
+    def test_each_unordered_pair_has_one_toeplitz_condition(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        write_model(random_stable_model(11, dim=4, order=2, radius=0.7), model_path)
+        assert run("analyze", "--model", model_path, "--out", tmp_path / "all") == 0
+        marginals = json.loads((tmp_path / "all" / "marginals.json").read_text())
+        for a, b in itertools.combinations(range(1, 5), 2):
+            out = tmp_path / f"{a}_{b}"
+            pair = f"{a},{b}"
+            assert run("marginalize", "--model", model_path, "--pair", pair, "--out", out) == 0
+            cond = json.loads((out / "marginal.json").read_text())["toeplitz_cond"]
+            assert marginals[f"{a}<-{b}"]["toeplitz_cond"] == cond
+            assert marginals[f"{b}<-{a}"]["toeplitz_cond"] == cond
 
     def test_not_converged_pairs_keep_diagnostics(self, tmp_path):
         coeffs = [np.zeros((3, 3))]
@@ -399,6 +413,37 @@ def test_one_transfer_function_per_command(command, extra, tmp_path, monkeypatch
     argv = ("--alpha", 1, "--beta", 1, "--grid", 65, "--out", tmp_path / "out", *extra)
     assert run(command, *argv) == 0
     assert sorted(calls) == [("char_polynomial", 65), ("transfer_function", 65)]
+
+
+@pytest.mark.parametrize(
+    "command,dim,extra,count",
+    [
+        ("granger", None, ("--json",), 0),
+        ("analyze", None, ("--out", "out"), 3),
+        ("analyze", 8, ("--out", "out"), 28),
+        ("counterexample", None, ("--out", "out"), 1),
+        ("marginalize", None, ("--pair", "1,2", "--out", "out"), 1),
+        ("marginalize", None, ("--pair", "1,2"), 0),
+    ],
+    ids=["granger", "analyze-d3", "analyze-d8", "counterexample", "marginalize-out",
+         "marginalize"],
+)
+def test_the_toeplitz_condition_is_taken_once_per_pair_written(
+    command, dim, extra, count, tmp_path, monkeypatch
+):
+    # a block-Toeplitz condition number is taken only where a marginal
+    # document writes it, once per unordered pair; the model check's
+    # eigvalsh of Sigma is not counted
+    built = []
+    block = marginal.block_toeplitz
+    monkeypatch.setattr(marginal, "block_toeplitz", lambda *a: built.append(1) or block(*a))
+    model = ("--alpha", 1, "--beta", 1)
+    if dim is not None:
+        model = ("--model", tmp_path / "model.json")
+        write_model(random_stable_model(1, dim=dim, order=4, radius=0.7), model[1])
+    extra = tuple(tmp_path / flag if flag == "out" else flag for flag in extra)
+    assert run(command, *model, *extra) == 0
+    assert len(built) == count
 
 
 @pytest.mark.parametrize(

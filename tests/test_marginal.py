@@ -461,8 +461,9 @@ def test_swapped_pair_whiteness_is_exact(seed, dim, order, radius):
 
 
 def test_one_recursion_per_unordered_pair(monkeypatch):
-    # full_report asks for every ordered pair; each unordered pair is run,
-    # and its block-Toeplitz condition number taken, once
+    # full_report asks for every ordered pair; each unordered pair is run
+    # once, and no block-Toeplitz condition number is taken: only a written
+    # marginal document reads one
     sequences, toeplitz = [], []
     run, block = marginal_module._levinson_whittle, marginal_module.block_toeplitz
     monkeypatch.setattr(
@@ -476,10 +477,33 @@ def test_one_recursion_per_unordered_pair(monkeypatch):
     m = random_stable_model(2, dim=5, order=2, radius=0.6)
     report = full_report(m, default_grid(33))
     assert all(v.marginal is not None for v in report.pairs)
-    assert (sequences, len(toeplitz)) == ([10], 10)
+    assert (sequences, len(toeplitz)) == ([10], 0)
     sequences.clear()
     marginal_representation(m, ChannelPair(target=3, source=1))
     assert sequences == [1]
+
+
+def test_representations_keep_a_read_only_copy_of_their_gamma(monkeypatch):
+    # each representation keeps Gamma(0..max(q, 1) - 1) of its own pair, in
+    # its own channel order, as a copy: the batch's stack can be freed
+    stacks = []
+    run = marginal_module._levinson_whittle
+    monkeypatch.setattr(
+        marginal_module,
+        "_levinson_whittle",
+        lambda gams, *a: stacks.append(gams) or run(gams, *a),
+    )
+    m = random_stable_model(3, dim=4, order=2, radius=0.7)
+    pairs = [ChannelPair(target=2, source=0), ChannelPair(target=0, source=2)]
+    ab, ba = marginal_representations(m, pairs, q_max=64)
+    (gams,) = stacks
+    lags = max(ab.order_used, 1)
+    assert np.array_equal(ab.gammas, subprocess_autocov(autocov(m, 64), pairs[0]).gammas[:lags])
+    assert np.array_equal(ba.gammas, ab.gammas[:, ::-1, ::-1])
+    for rep in (ab, ba):
+        assert not np.shares_memory(rep.gammas, gams)
+        with pytest.raises(ValueError):
+            rep.gammas[0, 0, 0] = 1.0
 
 
 @settings(max_examples=40, deadline=None)
