@@ -307,11 +307,11 @@ def innovation_whiteness_check(
 ) -> float:
     """Whiteness deficit of the residual spectrum implied by a representation.
 
-    The residual Phi H_S. E is the pair's rows of H (whole or as ``transfer_blocks``)
-    filtered by Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda) in ``reduction``'s pair
-    residual body, so (b, a) gets (a, b)'s deficit bit for bit. The true projection leaves
-    the constant spectrum V / 2 pi, a deficit of numerically zero; a truncated or otherwise
-    invalid representation leaves frequency structure behind and a large deficit.
+    The residual Phi H_S. E is the pair's rows of H, given as its blocks (``transfer_blocks``;
+    ``[h]`` is read as one block), filtered by Phi(lambda) = I - sum_u Phi(u) exp(-i u lambda)
+    in ``reduction``'s pair residual body, so (b, a) gets (a, b)'s deficit bit for bit. The true
+    projection leaves the constant spectrum V / 2 pi, a deficit of numerically zero; a truncated
+    or otherwise invalid representation leaves frequency structure behind and a large deficit.
     """
     if rep.pair is not None and rep.pair != pair:
         raise ShapeMismatch("representation was computed for a different pair")

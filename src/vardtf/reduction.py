@@ -30,7 +30,7 @@ from . import moments, spectral
 from .exceptions import DimensionTooSmall, ShapeMismatch, Unstable
 from .model import ChannelPair, VarModel, counterexample_model
 from .moments import AutocovSequence, _frobenius, _inverse, _mul, _scaled, subprocess_autocov
-from .spectral import FrequencyGrid, FrequencyMatrix, _join, matrix_blocks, transfer_blocks
+from .spectral import FrequencyGrid, FrequencyMatrix, _join, transfer_blocks
 
 #: Relative whiteness-deficit threshold for the boolean "is white" verdict.
 WHITE_REL_TOL = 0.01
@@ -100,9 +100,8 @@ def error_spectral_matrix(
 def reduce_pair(model: VarModel, pair: ChannelPair, transfer) -> ReducedRepresentation:
     """Reduced polynomial and error spectrum for a pair, from the model's H.
 
-    ``transfer`` is the model's H(lambda), whole or as its blocks (``transfer_blocks``). The
-    retained rows satisfy X_S = H_S. E and the Schur complement G is H_SS^-1, so the error
-    E' = G X_S = G H_S. E has the density of G H_S. (``_pair_residual`` with filter G).
+    ``transfer`` is H(lambda) as blocks (``_pair_residual``, with filter G). As X_S = H_S. E and
+    the Schur complement G is H_SS^-1, the error E' = G X_S = G H_S. E has the density of G H_S.
 
     Raises
     ------
@@ -125,9 +124,11 @@ def reduce_pair(model: VarModel, pair: ChannelPair, transfer) -> ReducedRepresen
 
 
 def _pair_residual(model: VarModel, pair: ChannelPair, transfer, pair_filter):
-    """(F, f) on each block of ``transfer`` in order: F = ``pair_filter`` of the pair's H_SS
-    (a FrequencyMatrix) and f the density of F H_S. driven by Sigma, whose product is entry
-    by entry (``_mul``), so the swapped pair and filter get the swapped (F, f)."""
+    """(F, f) on each of ``transfer``'s consecutive blocks of one grid, in order: F =
+    ``pair_filter`` of the pair's H_SS (a FrequencyMatrix), f the density of F H_S. driven by
+    Sigma, whose product is entry by entry (``_mul``), so the swapped pair and filter get the
+    swapped (F, f). ``[h]`` gives H held whole the same bits, but as one block, where a
+    Phi(lambda) of order q takes n x q complex phases: on a large grid pass ``transfer_blocks``."""
     @np.errstate(over="ignore", invalid="ignore")
     def residual(h: FrequencyMatrix) -> tuple:  # (F, f) on one block of H
         rows = h.values[:, pair.channels]
@@ -135,7 +136,7 @@ def _pair_residual(model: VarModel, pair: ChannelPair, transfer, pair_filter):
         f = spectral.density_from_transfer(FrequencyMatrix(h.grid, _mul(filt, rows)), model.sigma)
         return FrequencyMatrix(h.grid, filt), f
 
-    return map(residual, matrix_blocks(transfer))
+    return map(residual, transfer)
 
 
 def whiteness_deficit(spectrum: FrequencyMatrix) -> float:

@@ -58,7 +58,9 @@ class FrequencyGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.asarray(self.points, dtype=float)  # a read-only view of read-only points is kept
+        if pts.flags.writeable or not isinstance(pts.base, np.ndarray) or pts.base.flags.writeable:
+            pts = pts.copy()
         if pts.ndim != 1 or pts.size < 2:
             raise ShapeMismatch("grid needs at least two frequency points")
         if not np.all(np.isfinite(pts)):
@@ -111,14 +113,6 @@ def grid_blocks(grid: FrequencyGrid):
     """The grid in order as ceil(n / RESIDUAL_CHUNK) sub-grids of near-equal size,
     2 to RESIDUAL_CHUNK points each; a grid of at most that is one block."""
     return (FrequencyGrid(points) for points in _cut(grid.points))
-
-
-def matrix_blocks(fm):
-    """``fm`` on each ``grid_blocks`` block of its grid, in order, as views of its values;
-    blocks already cut (``transfer_blocks``, a report's ``transfer``) pass straight through."""
-    if not isinstance(fm, FrequencyMatrix):
-        return fm
-    return map(FrequencyMatrix, grid_blocks(fm.grid), _cut(fm.values))
 
 
 def _join(blocks) -> FrequencyMatrix:

@@ -107,7 +107,7 @@ def test_criterion_4_reduction_non_whiteness():
     deficit = whiteness_deficit(error_spectral_matrix(model, PAIR12, grid))
     rep = marginal_representation(model, PAIR12)
     marginal_deficit = innovation_whiteness_check(
-        model, PAIR12, rep, transfer_function(model, grid)
+        model, PAIR12, rep, [transfer_function(model, grid)]
     )
     check(
         4,

@@ -218,7 +218,7 @@ def test_marginal_residual_deficit_equals_the_whole_grid_one(case, count, tmp_pa
     grid = spectral.default_grid(count)
     rep = marginal_representation(model, pair)
     expected = residual_deficit_reference(model, pair, rep, grid)
-    for transfer in (spectral.transfer_blocks(model, grid), spectral.transfer_function(model, grid)):
+    for transfer in (spectral.transfer_blocks(model, grid), [spectral.transfer_function(model, grid)]):
         assert innovation_whiteness_check(model, pair, rep, transfer) == expected
     out = tmp_path / "out"
     assert run("marginalize", *margs, "--pair", pair_text, "--grid", count, "--out", out) == 0
@@ -520,6 +520,29 @@ def test_held_blocks_are_written_in_the_caller(monkeypatch):
         callers = [thread is threading.current_thread() for thread in threads]
         assert callers == ([True] * 5 if name == "held" else [True] + [False] * 4)
     assert tables["held"] == tables["lazy"]
+    assert _helper_threads() == []
+
+
+def test_dtf_computes_every_block_in_the_caller(tmp_path, monkeypatch):
+    # dtf computes each block's H in the caller (spectral.dtf on the block), not through the
+    # paired walk of transfer_blocks: beside the table's write-behind that walk made three
+    # busy threads and ran slower on 2 vCPUs, so only the writes after the first run on
+    # the helper, even for a model of PAIR_MIN_DIM channels over several blocks
+    path = tmp_path / "m.json"
+    write_model(random_stable_model(2, dim=spectral.PAIR_MIN_DIM, order=2, radius=0.8), path)
+    calls = _record_blocks(monkeypatch)
+    real, writes = spectral.frequency_matrix_to_csv, []
+
+    def frequency_matrix_to_csv(*args):  # as the write-behind calls it: positionally
+        writes.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "frequency_matrix_to_csv", frequency_matrix_to_csv)
+    assert run("dtf", "--model", path, "--grid", len(PAIRED_GRID), "--out", tmp_path / "out") == 0
+    caller = threading.current_thread()
+    assert _block_indices(PAIRED_GRID, calls) == [0, 1, 2, 3, 4]
+    assert all(thread is caller for _, thread, _ in calls)
+    assert [thread is caller for thread in writes] == [True] + [False] * 4
     assert _helper_threads() == []
 
 

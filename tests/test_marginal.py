@@ -446,7 +446,7 @@ def test_swapped_pair_whiteness_is_exact(seed, dim, order, radius):
     # bit for bit
     m = random_stable_model(seed, dim=dim, order=order, radius=radius)
     grid = default_grid(65)
-    transfer, density = transfer_function(m, grid), spectral_density(m, grid).values
+    transfer, density = [transfer_function(m, grid)], spectral_density(m, grid).values
     pairs = [ChannelPair(target=a, source=b) for a in range(dim) for b in range(dim) if a != b]
     reps = dict(zip(pairs, marginal_representations(m, pairs)))
     for pair, rep in reps.items():
@@ -530,20 +530,20 @@ class TestInnovationWhiteness:
     def test_counterexample_representation_is_white(self):
         m = counterexample_model(1.0, 1.0)
         rep = marginal_representation(m, PAIR12)
-        deficit = innovation_whiteness_check(m, PAIR12, rep, transfer_function(m, default_grid()))
+        deficit = innovation_whiteness_check(m, PAIR12, rep, [transfer_function(m, default_grid())])
         assert deficit < 1e-6
 
     def test_truncated_representation_fails(self):
         m = counterexample_model(1.0, 1.0)
         sub = subprocess_autocov(autocov(m, maxlag=2), PAIR12)
         stub = whittle_recursion(sub, 0)
-        deficit = innovation_whiteness_check(m, PAIR12, stub, transfer_function(m, default_grid()))
+        deficit = innovation_whiteness_check(m, PAIR12, stub, [transfer_function(m, default_grid())])
         assert deficit > 0.01 * np.linalg.norm(stub.innov_cov)
 
     def test_white_noise_model(self):
         m = make_var([], np.eye(3))
         rep = marginal_representation(m, PAIR12)
-        deficit = innovation_whiteness_check(m, PAIR12, rep, transfer_function(m, default_grid()))
+        deficit = innovation_whiteness_check(m, PAIR12, rep, [transfer_function(m, default_grid())])
         assert deficit < 1e-12
 
     def test_pair_mismatch_rejected(self):

@@ -14,11 +14,14 @@ from vardtf import (
     default_grid,
     error_autocov,
     error_spectral_matrix,
+    innovation_whiteness_check,
     is_white,
     kaminski_error_lag_crosscov,
     make_var,
+    marginal_representation,
     reduce_pair,
     reduced_polynomial,
+    spectral,
     transfer_function,
     whiteness_deficit,
 )
@@ -28,6 +31,7 @@ from vardtf.spectral import (
     FrequencyGrid,
     FrequencyMatrix,
     _join,
+    grid_blocks,
     lag_polynomial,
     spectral_density,
     transfer_blocks,
@@ -110,11 +114,11 @@ class TestReducePair:
         m = singular_removed_block_model()
         h = transfer_function(m, default_grid())
         with pytest.raises(SingularAtFrequency, match="A_RR") as exc:
-            reduce_pair(m, PAIR12, h)
+            reduce_pair(m, PAIR12, [h])
         assert exc.value.frequency == 0.0
         # A_RR(lambda) = 1 - exp(-i lambda) vanishes only at lambda = 0
         off_zero = FrequencyGrid(np.linspace(0.01, np.pi, 33))
-        red = reduce_pair(m, PAIR12, transfer_function(m, off_zero))
+        red = reduce_pair(m, PAIR12, [transfer_function(m, off_zero)])
         assert np.all(np.isfinite(red.reduced_poly.values))
 
     @pytest.mark.parametrize("first,second", [(100, 1500), (1500, 100)])
@@ -127,8 +131,11 @@ class TestReducePair:
         values = np.broadcast_to(np.eye(3, dtype=complex), (len(grid), 3, 3)).copy()
         values[first, :2, :2] = np.nan
         values[second, :2, :2] = 0.0
+        blocks = list(grid_blocks(grid))
+        assert len(blocks) == 4
+        cuts = np.cumsum([len(b) for b in blocks])[:-1]
         with pytest.raises(SingularAtFrequency, match="A_RR") as exc:
-            reduce_pair(m, PAIR12, FrequencyMatrix(grid, values))
+            reduce_pair(m, PAIR12, map(FrequencyMatrix, blocks, np.split(values, cuts)))
         assert exc.value.frequency == grid.points[min(first, second)]
 
     def test_block_whose_inverse_overflows_is_singular(self):
@@ -141,7 +148,7 @@ class TestReducePair:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularAtFrequency, match="A_RR") as exc:
-                reduce_pair(m, PAIR12, FrequencyMatrix(grid, values))
+                reduce_pair(m, PAIR12, [FrequencyMatrix(grid, values)])
         assert exc.value.frequency == grid.points[2]
 
 
@@ -353,7 +360,7 @@ def test_reduce_pair_matches_block_substitution(seed, dim, order, radius, lagles
         seed, dim=dim, order=order, radius=radius, lagless=removed if lagless else ()
     )
     grid = default_grid(65)
-    red = reduce_pair(m, pair, transfer_function(m, grid))
+    red = reduce_pair(m, pair, [transfer_function(m, grid)])
     g, f = block_substitution_reference(m, pair, grid.points)
     assert np.max(np.abs(red.reduced_poly.values - g)) <= 1e-11 * np.max(np.abs(g))
     assert np.max(np.abs(red.error_spectrum.values - f)) <= 1e-11 * np.max(np.abs(f))
@@ -373,7 +380,7 @@ def test_swapped_pair_reduction_is_exact(seed, dim, order, radius, data):
     # polynomial, error spectrum and deficit are (a, b)'s swapped, bit for bit
     m = random_stable_model(seed, dim=dim, order=order, radius=radius)
     a, b = data.draw(st.permutations(range(dim)))[:2]
-    transfer = transfer_function(m, default_grid(65))
+    transfer = [transfer_function(m, default_grid(65))]
     ab, ba = (
         reduce_pair(m, ChannelPair(target=t, source=s), transfer) for t, s in ((a, b), (b, a))
     )
@@ -392,11 +399,12 @@ def test_swapped_pair_reduction_is_exact(seed, dim, order, radius, data):
     data=st.data(),
 )
 def test_pair_residual_contract(seed, dim, order, radius, data):
-    # the one residual body of reduce_pair and innovation_whiteness_check, fed H whole
-    # and as transfer_blocks on a grid of three blocks: the identity filter leaves the
-    # pair's 2x2 block of the spectral density (over 360 seeded cases the worst relative
-    # difference was 6.7e-16), and a swapped pair filtered by the swapped Phi(lambda)
-    # gets the swapped (F, f) bit for bit, as does H by blocks H whole's (F, f)
+    # the one residual body of reduce_pair and innovation_whiteness_check, fed H whole as
+    # [h], as transfer_blocks on a grid of three blocks and as a random consecutive cut into
+    # blocks of at least 2 points: the identity filter leaves the pair's 2x2 block of the
+    # spectral density (over 360 seeded cases the worst relative difference was 6.7e-16),
+    # and a swapped pair filtered by the swapped Phi(lambda) gets the swapped (F, f) bit
+    # for bit, as does H by either set of blocks H whole's (F, f)
     m = random_stable_model(seed, dim=dim, order=order, radius=radius)
     a, b = data.draw(st.permutations(range(dim)))[:2]
     ab, ba = ChannelPair(target=a, source=b), ChannelPair(target=b, source=a)
@@ -415,14 +423,35 @@ def test_pair_residual_contract(seed, dim, order, radius, data):
         return lambda block: lag_polynomial(coeffs, block.grid).values
 
     whole = transfer_function(m, grid)
+    cuts = np.cumsum(data.draw(st.lists(st.integers(2, 600), max_size=6)), dtype=int)
+    cuts = cuts[cuts <= len(grid) - 2]
+    pieces = zip(np.split(grid.points, cuts), np.split(whole.values, cuts))
+    cut = [FrequencyMatrix(FrequencyGrid(points), values) for points, values in pieces]
     expected = spectral_density(m, grid).values[:, [a, b]][:, :, [a, b]]
-    filtered = residual(ab, whole, phi(phis))
-    for transfer in (lambda: whole, lambda: transfer_blocks(m, grid)):
+    filtered = residual(ab, [whole], phi(phis))
+    for transfer in (lambda: [whole], lambda: transfer_blocks(m, grid), lambda: cut):
         f = residual(ab, transfer(), identity)[1]
         assert np.max(np.abs(f - expected)) <= 1e-14 * np.max(np.abs(expected))
         assert all(map(np.array_equal, residual(ab, transfer(), phi(phis)), filtered))
         swapped = residual(ba, transfer(), phi(phis[:, ::-1, ::-1]))
         assert all(np.array_equal(x, y[swap]) for x, y in zip(swapped, filtered))
+
+
+@pytest.mark.parametrize("reader", ["reduce_pair", "innovation_whiteness_check"])
+def test_a_bare_frequency_matrix_is_refused_before_any_block(reader, monkeypatch):
+    # the pair readers take an iterable of blocks ([h] for an H held whole); a bare
+    # FrequencyMatrix is none, and fails at the call, before any block's density is taken
+    m = counterexample_model(1.0, 1.0)
+    h, rep = transfer_function(m, default_grid(65)), marginal_representation(m, PAIR12)
+    calls = []
+    monkeypatch.setattr(spectral, "density_from_transfer", lambda *args: calls.append(args))
+    readers = {
+        "reduce_pair": lambda: reduce_pair(m, PAIR12, h),
+        "innovation_whiteness_check": lambda: innovation_whiteness_check(m, PAIR12, rep, h),
+    }
+    with pytest.raises(TypeError, match="not iterable"):
+        readers[reader]()
+    assert calls == []
 
 
 class TestErrorAutocov:
@@ -470,7 +499,7 @@ class TestReducedRepresentation:
     def test_bundle(self):
         m = counterexample_model(1.0, 1.0)
         grid = default_grid(17)
-        red = reduce_pair(m, PAIR12, transfer_function(m, grid))
+        red = reduce_pair(m, PAIR12, [transfer_function(m, grid)])
         assert_allclose(
             red.reduced_poly.values,
             reduced_polynomial(m, PAIR12, grid).values,

@@ -87,6 +87,28 @@ class TestGridBlocks:
         (block,) = grid_blocks(grid)
         assert np.array_equal(block.points, grid.points)
 
+    @pytest.mark.parametrize("count", [2, 512, 1025, 16385])
+    def test_blocks_are_read_only_views_of_the_grid(self, count):
+        grid = default_grid(count)
+        for block in grid_blocks(grid):
+            assert np.shares_memory(block.points, grid.points)
+            assert not block.points.flags.writeable
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        points = np.linspace(0.0, np.pi, 9)
+        view = points[2:]
+        view.setflags(write=False)
+        grid = FrequencyGrid(view)
+        expected = points[2:].copy()
+        points[:] = 0.0
+        assert np.array_equal(grid.points, expected)
+
+    def test_writable_array_is_copied(self):
+        points = np.linspace(0.0, np.pi, 9)
+        grid = FrequencyGrid(points)
+        assert not np.shares_memory(grid.points, points)
+        assert not grid.points.flags.writeable and points.flags.writeable
+
 
 class TestCharPolynomial:
     def test_white_noise_identity(self):
