@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import RankDeficientRegressors, ShapeMismatch, SingularToeplitz, Unstable, UnstableFit
 from .jsonio import read_csv, write_csv
-from .model import VarModel, companion_matrix
+from .model import VarModel, _read_only, companion_matrix
 from .moments import AutocovSequence, _scaled, block_toeplitz
 
 
@@ -54,8 +54,7 @@ class Trajectory:
             raise ShapeMismatch(f"samples has shape {samples.shape}, expected (length, dim)")
         if not np.all(np.isfinite(samples)):
             raise ShapeMismatch("trajectory contains non-finite values")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _read_only(samples))
 
     @property
     def length(self) -> int:

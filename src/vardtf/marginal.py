@@ -34,7 +34,7 @@ from .exceptions import (
     SingularToeplitz,
     VardtfError,
 )
-from .model import ChannelPair, VarModel
+from .model import ChannelPair, VarModel, _read_only
 from .moments import AutocovSequence, _inverse, _mul, block_toeplitz
 from .reduction import _pair_residual, whiteness_deficit
 from .spectral import _join, lag_polynomial
@@ -85,9 +85,7 @@ class MarginalAR:
 
     def __post_init__(self):
         for name in ("phis", "innov_cov", "gammas"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def order_used(self) -> int:
@@ -144,10 +142,8 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
     cov = np.stack((gams[:, 0], gams[:, 0]), axis=1)
 
     def stop(i, tail) -> None:  # the running sequence i stops at this order
-        k = active[i]
-        gam = gams[k, : max(pred.shape[2], 1)]
-        # copies, not views, so that the batch's arrays can be freed
-        rep = MarginalAR(pairs[k], pred[i, 0].copy(), cov[i, 0].copy(), tail, gam.copy())
+        k = active[i]  # MarginalAR copies its views of the batch, which can then be freed
+        rep = MarginalAR(pairs[k], pred[i, 0], cov[i, 0], tail, gams[k, : max(pred.shape[2], 1)])
         results[k] = rep if tail.converged else NotConverged(
             f"marginal representation not converged by order {orders[-1]} "
             f"(tail {tail.tail_norm:.3g}, v_delta {tail.v_delta:.3g})",

@@ -54,7 +54,7 @@ class VarModel:
         an init argument).
 
     ``dim`` (d) and ``order`` (p) are read off ``sigma`` and ``coeffs``.
-    Instances are immutable (arrays are write-protected) and safe to share
+    Instances are immutable (arrays kept by ``_read_only``) and safe to share
     across threads.
     """
 
@@ -76,7 +76,7 @@ class VarModel:
             if not np.all(np.isfinite(a)):
                 raise ShapeMismatch(f"coefficient matrix for lag {u} is not finite")
         _check_covariance(sigma)
-        coeffs = np.array(mats).reshape(len(mats), d, d)
+        coeffs = np.array(mats or np.empty((0, d, d)))
 
         rho = 0.0
         if mats:
@@ -84,10 +84,8 @@ class VarModel:
             if rho >= 1.0 - STABILITY_MARGIN:
                 raise Unstable(rho)
 
-        coeffs.setflags(write=False)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "coeffs", _read_only(coeffs))
+        object.__setattr__(self, "sigma", _read_only(sigma))
         object.__setattr__(self, "spectral_radius", rho)
 
     @property
@@ -139,6 +137,17 @@ class ChannelPair:
     def channels(self) -> tuple:
         """Retained channels in output order (target first)."""
         return (self.target, self.source)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` as every value object keeps an array, read-only: an array that owns its memory is
+    frozen in place, a read-only view of read-only numpy memory is kept as it is, and any other
+    view (one another array can write through, or of memory numpy does not own) is copied."""
+    kept = isinstance(a.base, np.ndarray) and a.base.flags.owndata and not a.base.flags.writeable
+    if not (a.flags.owndata or kept):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def _check_covariance(sigma: np.ndarray) -> None:

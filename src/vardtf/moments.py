@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoConvergence, ShapeMismatch
-from .model import ChannelPair, VarModel, companion_matrix
+from .model import ChannelPair, VarModel, _read_only, companion_matrix
 
 #: Acceptable relative residual of the Lyapunov solve.
 LYAPUNOV_RESIDUAL_TOL = 1e-10
@@ -38,8 +38,7 @@ class AutocovSequence:
         g = np.asarray(self.gammas, dtype=float)
         if g.ndim != 3 or g.shape[0] < 1 or g.shape[1] != g.shape[2]:
             raise ShapeMismatch(f"gammas has shape {g.shape}, expected (maxlag + 1, d, d)")
-        g.setflags(write=False)
-        object.__setattr__(self, "gammas", g)
+        object.__setattr__(self, "gammas", _read_only(g))
 
     @property
     def dim(self) -> int:
@@ -56,8 +55,7 @@ def _solve_lyapunov_doubling(comp: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # omitted tail is m p m', at most ||m||^2 ||p|| in norm: the loop stops
     # once that is below rounding relative to p, whatever the scale of S.
     # A root at 1 - 1e-7 needs about 30 steps.
-    p = rhs.copy()
-    m = comp.copy()
+    p, m = rhs, comp
     try:
         for _ in range(200):
             p = p + m @ p @ m.T
@@ -113,8 +111,9 @@ def _inverse(a: np.ndarray) -> tuple:
 def autocov(model: VarModel, maxlag: int | None = None) -> AutocovSequence:
     """Autocovariance sequence Gamma(0..maxlag) of a stable model.
 
-    ``maxlag`` defaults to max(2 * order, 50), a generous tail for the
-    downstream predictor recursion.
+    ``maxlag`` defaults to max(2 * order, 50), the lags ``vardtf moments``
+    writes without ``--maxlag``; ``marginal_representations`` and
+    ``error_autocov`` pass their own.
 
     Raises
     ------

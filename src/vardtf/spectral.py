@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import DegenerateRow, ShapeMismatch, SingularAtFrequency, SpectrumOverflow
 from .jsonio import write_csv
-from .model import VarModel
+from .model import VarModel, _read_only
 from .moments import _scaled
 
 #: Number of grid points used when no grid is given: odd, so the midpoint
@@ -45,7 +45,7 @@ INVERSION_RESIDUAL_TOL = 1e-10
 #: Most grid points per block of ``grid_blocks``, the one place a grid is cut.
 RESIDUAL_CHUNK = 512
 
-#: Fewest channels for which H is computed two blocks at a time (``_walk``). Each point's
+#: Fewest channels for which ``transfer_blocks`` walks H two blocks at a time. Each point's
 #: inverse is a few LAPACK calls, and two threads' calls on smaller matrices slow each
 #: other more than they overlap (at 16385 points: d=3 about 25 -> 40 ms, d=12 205 -> 140 ms).
 PAIR_MIN_DIM = 8
@@ -58,8 +58,8 @@ class FrequencyGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)  # a read-only view of read-only points is kept
-        if pts.flags.writeable or not isinstance(pts.base, np.ndarray) or pts.base.flags.writeable:
+        pts = np.asarray(self.points, dtype=float)
+        if pts.flags.writeable:  # a caller's points, which it may write later
             pts = pts.copy()
         if pts.ndim != 1 or pts.size < 2:
             raise ShapeMismatch("grid needs at least two frequency points")
@@ -69,8 +69,7 @@ class FrequencyGrid:
             raise ShapeMismatch("grid points must be strictly increasing")
         if pts[0] < 0.0 or pts[-1] > np.pi + 1e-12:
             raise ShapeMismatch("grid points must lie in [0, pi]")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _read_only(pts))
 
     def __len__(self) -> int:
         return self.points.size
@@ -87,26 +86,19 @@ def _helper():
         yield lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args)
 
 
-def _in_pairs(step, *iterables):
-    """``step`` on each of the zipped ``iterables``, yielded in order: item 2k in the caller
-    while item 2k+1 runs on the walk's helper, and a last odd item in the caller alone. If
-    an item of a pair fails, the other is waited for, the earlier failure is raised and no
-    later item starts; the helper's thread has ended when the walk ends or is dropped."""
-    items = zip(*iterables)
+def _in_pairs(step, items):
+    """``step`` on each of ``items``, yielded in order: item 2k in the caller while item
+    2k+1 runs on the walk's helper, and a last odd item in the caller alone. If an item of
+    a pair fails, the other is waited for, the earlier failure is raised and no later item
+    starts; the helper's thread has ended when the walk ends or is dropped."""
+    items = iter(items)
     with _helper() as submit:
         for item in items:
             following = next(items, None)
-            other = None if following is None else submit(step, *following)
-            yield step(*item)
+            other = None if following is None else submit(step, following)
+            yield step(item)
             if other is not None:
                 yield other.result()
-
-
-def _walk(model: VarModel, grid: FrequencyGrid):
-    """How the blocks of ``model``'s H on ``grid`` are walked: ``_in_pairs`` from
-    PAIR_MIN_DIM channels on a grid of several blocks, else ``map``, one block at a time
-    in the caller."""
-    return _in_pairs if model.dim >= PAIR_MIN_DIM and len(grid) > RESIDUAL_CHUNK else map
 
 
 def grid_blocks(grid: FrequencyGrid):
@@ -154,8 +146,7 @@ class FrequencyMatrix:
             raise ShapeMismatch(
                 f"{vals.shape[0]} matrices for {len(self.grid)} grid points"
             )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(vals))
 
 
 def lag_polynomial(coeffs: np.ndarray, grid: FrequencyGrid) -> FrequencyMatrix:
@@ -165,9 +156,8 @@ def lag_polynomial(coeffs: np.ndarray, grid: FrequencyGrid) -> FrequencyMatrix:
     """
     lams = grid.points
     p, d = coeffs.shape[0], coeffs.shape[1]
-    values = np.broadcast_to(np.eye(d, dtype=complex), (lams.size, d, d)).copy()
     phases = np.exp(-1j * np.outer(lams, np.arange(1, p + 1)))  # (n, p)
-    values -= np.einsum("np,pjk->njk", phases, coeffs)
+    values = np.eye(d, dtype=complex) - np.einsum("np,pjk->njk", phases, coeffs)
     return FrequencyMatrix(grid=grid, values=values)
 
 
@@ -202,10 +192,12 @@ def transfer_function(model: VarModel, grid: FrequencyGrid) -> FrequencyMatrix:
 
 
 def transfer_blocks(model: VarModel, grid: FrequencyGrid):
-    """``transfer_function`` on each ``grid_blocks`` block of ``grid``, in order, computed
-    one or two at a time (``_walk``) as the walk reaches them; an iterator, so each walk
-    over the blocks needs its own."""
-    return _walk(model, grid)(lambda block: transfer_function(model, block), grid_blocks(grid))
+    """``transfer_function`` on each ``grid_blocks`` block of ``grid``, in order, computed as
+    the walk reaches them: two at a time (``_in_pairs``) for a model of at least PAIR_MIN_DIM
+    channels on a grid of several blocks, else one at a time in the caller (``map``). An
+    iterator, so each walk over the blocks needs its own."""
+    walk = _in_pairs if model.dim >= PAIR_MIN_DIM and len(grid) > RESIDUAL_CHUNK else map
+    return walk(lambda block: transfer_function(model, block), grid_blocks(grid))
 
 
 def invert_pointwise(fm: FrequencyMatrix) -> FrequencyMatrix:

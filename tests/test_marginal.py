@@ -485,7 +485,8 @@ def test_one_recursion_per_unordered_pair(monkeypatch):
 
 def test_representations_keep_a_read_only_copy_of_their_gamma(monkeypatch):
     # each representation keeps Gamma(0..max(q, 1) - 1) of its own pair, in
-    # its own channel order, as a copy: the batch's stack can be freed
+    # its own channel order, as a copy: the batch's stack can be freed; so are
+    # its phis and innov_cov, and the swapped pair's arrays are views of them
     stacks = []
     run = marginal_module._levinson_whittle
     monkeypatch.setattr(
@@ -501,9 +502,12 @@ def test_representations_keep_a_read_only_copy_of_their_gamma(monkeypatch):
     assert np.array_equal(ab.gammas, subprocess_autocov(autocov(m, 64), pairs[0]).gammas[:lags])
     assert np.array_equal(ba.gammas, ab.gammas[:, ::-1, ::-1])
     for rep in (ab, ba):
-        assert not np.shares_memory(rep.gammas, gams)
-        with pytest.raises(ValueError):
-            rep.gammas[0, 0, 0] = 1.0
+        for name in ("phis", "innov_cov", "gammas"):
+            kept = getattr(rep, name)
+            assert not np.shares_memory(kept, gams)
+            assert kept.base is (None if rep is ab else getattr(ab, name))
+            with pytest.raises(ValueError):
+                kept[(0,) * kept.ndim] = 1.0
 
 
 @settings(max_examples=40, deadline=None)

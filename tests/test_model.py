@@ -8,7 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vardtf import (
+    AutocovSequence,
     ChannelPair,
+    ConvergenceInfo,
+    FrequencyGrid,
+    FrequencyMatrix,
+    MarginalAR,
+    Trajectory,
     VarModel,
     companion_matrix,
     counterexample_model,
@@ -16,6 +22,7 @@ from vardtf import (
     read_model,
     write_model,
 )
+from vardtf.spectral import default_grid
 from vardtf.exceptions import (
     NotPositiveSemiDefinite,
     OrderZero,
@@ -233,3 +240,68 @@ class TestSerialization:
         doc["order"] = 1
         with pytest.raises(ShapeMismatch):
             model_from_dict(doc)
+
+
+# Every value class keeps its arrays by one rule: (fresh data that owns its memory, the
+# object built from views of it, the arrays that object keeps, whether it may keep views).
+# VarModel converts its inputs with np.array, so it never shares a caller's memory.
+VALUE_CLASSES = {
+    "VarModel": (
+        lambda: np.stack([0.5 * np.eye(2), np.eye(2)]),
+        lambda a: VarModel(a[:1], a[1]),
+        lambda m: (m.coeffs, m.sigma),
+        False,
+    ),
+    "FrequencyGrid": (
+        lambda: np.pi / 8 * np.arange(9.0),
+        lambda a: FrequencyGrid(a[2:]),
+        lambda g: (g.points,),
+        True,
+    ),
+    "FrequencyMatrix": (
+        lambda: np.ones((9, 2, 3), dtype=complex),
+        lambda a: FrequencyMatrix(default_grid(8), a[1:]),
+        lambda fm: (fm.values,),
+        True,
+    ),
+    "AutocovSequence": (
+        lambda: np.ones((4, 2, 2)),
+        lambda a: AutocovSequence(a[1:]),
+        lambda acov: (acov.gammas,),
+        True,
+    ),
+    "MarginalAR": (
+        lambda: np.ones((4, 2, 2)),
+        lambda a: MarginalAR(None, a[:2], a[2], ConvergenceInfo(0.0, 0.0, True), a[1:]),
+        lambda rep: (rep.phis, rep.innov_cov, rep.gammas),
+        True,
+    ),
+    "Trajectory": (
+        lambda: np.ones((6, 2)),
+        lambda a: Trajectory(a[1:], seed=0),
+        lambda traj: (traj.samples,),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_value_objects_keep_no_view_a_caller_can_write(name):
+    data, build, kept, shares = VALUE_CLASSES[name]
+    # views of a writable numpy array, and of memory numpy does not own, then both written
+    a = data()
+    buffer = bytearray(a.tobytes())
+    objects = [build(a), build(np.frombuffer(buffer, dtype=a.dtype).reshape(a.shape))]
+    before = [[x.copy() for x in kept(obj)] for obj in objects]
+    a.fill(0)
+    buffer[:] = bytes(len(buffer))
+    for obj, was in zip(objects, before):
+        for x, y in zip(kept(obj), was):
+            assert np.array_equal(x, y)
+            assert not x.flags.writeable
+    # a read-only view of read-only numpy memory is kept uncopied
+    frozen = data()
+    frozen.setflags(write=False)
+    for x in kept(build(frozen)):
+        assert np.shares_memory(x, frozen) == shares
+        assert not x.flags.writeable
