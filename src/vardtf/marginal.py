@@ -11,12 +11,13 @@ Marginal representations are generically of infinite order with
 geometrically decaying tails, so the driver grows the order until the last
 coefficient block and the innovation-trace decrement both fall below a
 tolerance. ``marginal_representations`` solves a model's autocovariances
-once, stacks the subprocess autocovariances of each unordered pair asked for
-and runs one recursion over the stack, checked for convergence at the orders
-4, 8, ..: each pair leaves the batch at its first converging order, or at
-the order where it fails. The recursion works entry by entry on 1x1 and 2x2
-blocks (``moments._mul``, ``moments._inverse``) and is exact under a channel
-swap: the pair (b, a) gets the swap of (a, b)'s result, bit for bit.
+once and runs one recursion over the stacked Gamma of each unordered pair
+asked for, checked at the orders 4, 8, ..; the recursion only reports each
+sequence's outcome and records, and ``marginal_representations`` alone
+labels them with pairs and turns a run not converged by ``q_max`` into
+``NotConverged``. The recursion works entry by entry on 1x1 and 2x2 blocks
+(``moments._mul``, ``moments._inverse``) and is exact under a channel swap:
+the pair (b, a) gets the swap of (a, b)'s result, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ INNOV_PSD_FLOOR = -1e-8
 DEFAULT_Q_MAX = 128
 DEFAULT_TOL = 1e-8
 
-#: Largest accepted order cap. Gamma(0..q_max), and each pair's copy of it,
-#: are allocated before the recursion starts, so the cap bounds that memory.
+#: Largest accepted order cap. Gamma(0..q_max), and the stack of its pairs'
+#: blocks, are allocated before the recursion starts, so the cap bounds that memory.
 Q_MAX_CAP = 1024
 
 
@@ -101,7 +102,7 @@ class MarginalAR:
         return float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
 
 
-def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs) -> list:
+def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float) -> tuple:
     """Run the recursion on a stack of sequences; each stops at its first converging order.
 
     ``gams`` is a (P, maxlag + 1, d, d) stack of autocovariance sequences,
@@ -112,9 +113,9 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
     at ``orders[-1]`` the rest. A singular prediction-error covariance (its
     sequence gets a zero gain), or an innovation covariance below the PSD
     floor, takes only its own sequence out, at the end of that step.
-    Returns, aligned with ``gams``, the MarginalAR of ``pairs[k]`` where it
-    stopped, a NotConverged carrying it and the records by order, or the
-    error.
+    Returns ``(results, records)`` aligned with ``gams``: each sequence's
+    MarginalAR (``pair`` None) where it stopped, converged or not, or its
+    error; and its {order: {"tail_norm", "v_delta"}} at each order passed.
 
     Forward and backward quantities are stacked, so each step updates both
     predictors at every lag, and both error covariances, in single array
@@ -132,7 +133,7 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
     if d > 2:
         raise ShapeMismatch(f"the recursion takes 1 or 2 channels, got {d}")
     results: list = [None] * count
-    diagnostics: list = [{} for _ in range(count)]
+    records: list = [{} for _ in range(count)]
 
     # The running sequences: active[i] indexes gams; pred[i, 0, u-1] and
     # pred[i, 1, u-1] are its forward and backward coefficients at lag u,
@@ -143,13 +144,7 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
 
     def stop(i, tail) -> None:  # the running sequence i stops at this order
         k = active[i]  # MarginalAR copies its views of the batch, which can then be freed
-        rep = MarginalAR(pairs[k], pred[i, 0], cov[i, 0], tail, gams[k, : max(pred.shape[2], 1)])
-        results[k] = rep if tail.converged else NotConverged(
-            f"marginal representation not converged by order {orders[-1]} "
-            f"(tail {tail.tail_norm:.3g}, v_delta {tail.v_delta:.3g})",
-            best=rep,
-            diagnostics=diagnostics[k],
-        )
+        results[k] = MarginalAR(None, pred[i, 0], cov[i, 0], tail, gams[k, : max(pred.shape[2], 1)])
 
     for n in range(orders[-1]):
         lagged = _mul(pred[:, 0], gams[active, n:0:-1])
@@ -187,7 +182,7 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
                 tail = ConvergenceInfo(
                     tail_norm, float(v_delta[i]), bool(tail_norm < tol and v_delta[i] < tol)
                 )
-                diagnostics[active[i]][n + 1] = {"tail_norm": tail_norm, "v_delta": tail.v_delta}
+                records[active[i]][n + 1] = {"tail_norm": tail_norm, "v_delta": tail.v_delta}
                 if tail.converged or n + 1 == orders[-1]:
                     stop(i, tail)
                     leave[i] = True
@@ -196,7 +191,7 @@ def _levinson_whittle(gams: np.ndarray, orders: Sequence[int], tol: float, pairs
             break
     for i in range(active.size):  # left running only at order 0: no step was taken
         stop(i, ConvergenceInfo(np.inf, np.inf, False))
-    return results
+    return results, records
 
 
 def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -> MarginalAR:
@@ -214,9 +209,7 @@ def whittle_recursion(acov: AutocovSequence, q: int, tol: float = DEFAULT_TOL) -
     subprocess), NumericalBreakdown if the innovation covariance falls below
     the -1e-8 eigenvalue floor, and ShapeMismatch on more than 2 channels.
     """
-    (result,) = _levinson_whittle(acov.gammas[None], (q,), tol, (None,))
-    if isinstance(result, NotConverged):
-        return result.best
+    (result,), _ = _levinson_whittle(acov.gammas[None], (q,), tol)
     if isinstance(result, VardtfError):
         raise result
     return result
@@ -231,14 +224,19 @@ def _order_schedule(q_max: int) -> list:
     return qs
 
 
-def _as_pair(result, pair: ChannelPair):
-    """The result of a run of ``pair``'s channels, in either order, as ``pair``'s."""
-    if isinstance(result, NotConverged) and result.best.pair != pair:
-        return NotConverged(str(result), _as_pair(result.best, pair), result.diagnostics)
-    if isinstance(result, VardtfError) or result.pair == pair:
+def _outcome(run: ChannelPair, result, records: dict, pair: ChannelPair):
+    """``pair``'s outcome of the run of its channels as ``run`` (the swap gets swapped views):
+    the one place a representation not converged by its last order becomes NotConverged."""
+    if isinstance(result, VardtfError):
         return result
-    phis, v, gammas = (x[..., ::-1, ::-1] for x in (result.phis, result.innov_cov, result.gammas))
-    return replace(result, pair=pair, phis=phis, innov_cov=v, gammas=gammas)
+    arrays = (result.phis, result.innov_cov, result.gammas)
+    phis, v, gammas = arrays if pair == run else (x[..., ::-1, ::-1] for x in arrays)
+    rep = replace(result, pair=pair, phis=phis, innov_cov=v, gammas=gammas)
+    tail = rep.convergence
+    return rep if tail.converged else NotConverged(
+        f"marginal representation not converged by order {rep.order_used} "
+        f"(tail {tail.tail_norm:.3g}, v_delta {tail.v_delta:.3g})", rep, records
+    )
 
 
 def marginal_representations(
@@ -250,12 +248,12 @@ def marginal_representations(
     """Each pair's MarginalAR or the VardtfError that replaced it, aligned with ``pairs``.
 
     One autocovariance solve to lag ``q_max`` serves every pair, and one
-    batched recursion runs each unordered pair once, the other order getting
-    its exact swap; a failed solve is every pair's failure, and a pair not
-    converged by ``q_max`` gets a NotConverged carrying ``best`` and
-    per-order ``diagnostics``. Settings other than ``1 <= q_max <=
-    Q_MAX_CAP`` and a finite ``tol > 0``, and a pair out of range, raise
-    ShapeMismatch before anything is solved or allocated.
+    batched recursion runs each unordered pair once and only reports; here
+    alone the other order gets its exact swap, and a pair not converged by
+    ``q_max`` a NotConverged carrying ``best`` and the per-order records as
+    ``diagnostics``. A failed solve is every pair's failure. Settings other
+    than ``1 <= q_max <= Q_MAX_CAP`` and a finite ``tol > 0``, and a pair out
+    of range, raise ShapeMismatch before anything is solved or allocated.
     """
     if not 1 <= q_max <= Q_MAX_CAP or not (np.isfinite(tol) and tol > 0.0):
         raise ShapeMismatch(
@@ -270,12 +268,12 @@ def marginal_representations(
     runs: dict = {}  # one run per unordered pair, in the order first asked for
     for pair in pairs:
         runs.setdefault(frozenset(pair.channels), pair)
-    # gams[k, h] is Gamma(h) of the k-th run's channels, target first
-    gams = np.array([moments.subprocess_autocov(acov, pair).gammas for pair in runs.values()])
-    gams = gams.reshape(-1, q_max + 1, 2, 2)  # no pairs: an empty stack
-    results = _levinson_whittle(gams, _order_schedule(q_max), tol, list(runs.values()))
-    by_run = dict(zip(runs, results))
-    return [_as_pair(by_run[frozenset(pair.channels)], pair) for pair in pairs]
+    # gams[k, h] is Gamma(h) of the k-th run's channels, target first: an exact selection
+    ch = np.fromiter((run.channels for run in runs.values()), (np.intp, 2), len(runs))[:, None]
+    gams = acov.gammas[np.arange(q_max + 1)[:, None, None], ch[..., None], ch[..., None, :]]
+    results, records = _levinson_whittle(gams, _order_schedule(q_max), tol)
+    by_run = dict(zip(runs, zip(runs.values(), results, records)))
+    return [_outcome(*by_run[frozenset(pair.channels)], pair) for pair in pairs]
 
 
 def marginal_representation(

@@ -329,6 +329,13 @@ class TestOtherCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["dim"] == 3
 
+    def test_granger_json_on_one_channel(self, tmp_path, capsys):
+        # a one-channel model has no pair: an empty stack, and an empty list
+        model_path = tmp_path / "one.json"
+        write_model(make_var([[[0.5]]], [[1.0]]), model_path)
+        assert run("granger", "--model", model_path, "--json") == 0
+        assert '"pairs": []' in capsys.readouterr().out
+
     def test_moments_stdout(self, capsys):
         assert run("moments", "--alpha", 1, "--beta", 1, "--maxlag", 3) == 0
         lines = capsys.readouterr().out.strip().split("\n")

@@ -166,7 +166,7 @@ class TestWhittleRecursion:
         indefinite[:, 0, 0] = (1.0, 0.9, 0.2)
         indefinite[0, 1, 1] = 1.0
         stack = np.stack((np.ones((3, 2, 2)), valid.gammas, indefinite))
-        results = _levinson_whittle(stack, (2,), 1e-8, (None,) * 3)
+        results, _ = _levinson_whittle(stack, (2,), 1e-8)
         assert [type(r) for r in results] == [SingularToeplitz, MarginalAR, NumericalBreakdown]
         for gammas, result in zip(stack, results):
             try:
@@ -508,6 +508,72 @@ def test_representations_keep_a_read_only_copy_of_their_gamma(monkeypatch):
             assert kept.base is (None if rep is ab else getattr(ab, name))
             with pytest.raises(ValueError):
                 kept[(0,) * kept.ndim] = 1.0
+
+
+def _not_converged_by_order_4_model():
+    # the pair (2, 1) of this model is still not converged at q_max 4, 8 and 16
+    return make_var([[[0.4, 0.2, 0.3], [0.1, 0.3, 0.3], [0.2, 0.1, 0.5]]], np.eye(3))
+
+
+def test_the_recursion_reports_records_for_every_sequence():
+    # a converged, a not converged and a singular sequence in one batch: each
+    # gets its records at the schedule orders it passed, and the recursion
+    # builds no NotConverged and labels no representation with a pair
+    converging = random_stable_model(0, dim=3, order=1, radius=0.2)
+    slow, slow_pair = _not_converged_by_order_4_model(), ChannelPair(target=1, source=0)
+    delayed = np.zeros((17, 2, 2))  # X2(t) = X1(t - 4) of a white X1: singular at order 5
+    delayed[0], delayed[4, 1, 0] = np.eye(2), 1.0
+    stack = np.stack((
+        subprocess_autocov(autocov(converging, 16), PAIR12).gammas,
+        subprocess_autocov(autocov(slow, 16), slow_pair).gammas,
+        delayed,
+    ))
+    (done, best, singular), records = _levinson_whittle(stack, _order_schedule(16), 1e-8)
+    assert (type(done), type(best), type(singular)) == (MarginalAR, MarginalAR, SingularToeplitz)
+    assert done.pair is None and best.pair is None
+    assert done.convergence.converged and not best.convergence.converged
+    assert list(records[0]) == [4, 8] and done.order_used == 8
+    tail = done.convergence
+    assert records[0][8] == {"tail_norm": tail.tail_norm, "v_delta": tail.v_delta}
+    assert list(records[1]) == [4, 8, 16] and best.order_used == 16
+    assert records[2] == {4: {"tail_norm": 1.0, "v_delta": 1.0}}
+    # only marginal_representations labels them and builds the NotConverged
+    (rep,) = marginal_representations(converging, [PAIR12], q_max=16)
+    (failure,) = marginal_representations(slow, [slow_pair], q_max=16)
+    assert rep.pair == PAIR12 and failure.best.pair == slow_pair
+    _assert_same_predictor(rep, done)
+    assert isinstance(failure, NotConverged) and failure.diagnostics == records[1]
+    _assert_same_predictor(failure.best, best)
+    assert whittle_recursion(AutocovSequence(stack[1]), 16).pair is None
+
+
+def test_no_pairs_give_no_representations():
+    assert marginal_representations(counterexample_model(1.0, 1.0), []) == []
+
+
+def test_a_pair_asked_twice_is_run_once(monkeypatch):
+    # both entries come from one run: equal representations sharing their
+    # arrays, and for a pair not converged equal failures sharing their records
+    sequences = []
+    run = marginal_module._levinson_whittle
+    monkeypatch.setattr(
+        marginal_module,
+        "_levinson_whittle",
+        lambda gams, *a: sequences.append(len(gams)) or run(gams, *a),
+    )
+    pair = ChannelPair(target=2, source=0)
+    model = random_stable_model(3, dim=4, order=2, radius=0.7)
+    first, second = marginal_representations(model, [pair] * 2)
+    assert sequences == [1]
+    assert first.pair == second.pair == pair and first.convergence == second.convergence
+    for name in ("phis", "innov_cov", "gammas"):
+        assert getattr(first, name) is getattr(second, name)
+    slow = ChannelPair(target=1, source=0)
+    model = _not_converged_by_order_4_model()
+    first, second = marginal_representations(model, [slow] * 2, q_max=4)
+    assert sequences == [1, 1]
+    assert isinstance(first, NotConverged) and str(first) == str(second)
+    assert first.diagnostics is second.diagnostics and first.best.phis is second.best.phis
 
 
 @settings(max_examples=40, deadline=None)
